@@ -1,0 +1,6 @@
+"""Put the package sources and the benchmark modules on the import path for pytest."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
