@@ -1,16 +1,28 @@
-"""Dense statevector execution with depth-first measurement branching.
+"""Sparse statevector execution with depth-first measurement branching.
+
+A state maps basis index to nonzero amplitude. X and CX relabel keys, CZ
+and the diagonal gates scale entries, H and √X(†) split each entry in two,
+and MEASURE or a firing RESET partitions the map into branches. From a basis
+input the map stays small, because every H and √X here acts on an ancilla.
 
 Conventions, pinned for the codec and verifier:
   - qubit 0 is the least-significant bit of the basis-state index;
   - MEASURE projects the wire (the post-measurement wire holds the outcome;
     synthesized circuits follow it with an explicit RESET);
-  - RESET measures the wire without recording an outcome and returns it to
-    |0>, so it branches like a measurement when applied to a superposed wire;
+  - RESET applies the Kraus pair |0><0|, |0><1| to the wire without
+    recording an outcome, so on a superposed wire it branches like a
+    measurement whose two outcomes stay separate histories;
   - global phase is never normalized away; phase comparison is the
     verifier's job.
+
+Index bits above the register pass through every gate untouched, so they
+can label entries: ``unitary_of`` and the verifier label each input column
+that way and walk all of them at once.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,41 +34,26 @@ PRUNE_THRESHOLD = 1e-12
 
 _INPUT_TOLERANCE = 1e-9
 
+#: Rounding residue of a cancellation in a splitting gate; dropped.
+_NEGLIGIBLE = 1e-15
+
+#: A sparse state: basis index (plus any label bits above the register) -> amplitude.
+State = dict[int, complex]
+
 
 class SimulationError(ValueError):
     """Raised for invalid circuits, malformed states, or unsupported requests."""
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-_T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
-_TDG = np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=complex)
-# sqrt(X) family: X^{1/2} = H S H and X^{-1/2} = H S† H.
-_SX = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2
-_SXDG = np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex) / 2
-# Two-qubit sub-index convention: first operand is the least-significant bit.
-_CX = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0]], dtype=complex)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-
-_MATRICES = {
-    Gate.H: _H,
-    Gate.X: _X,
-    Gate.Z: _Z,
-    Gate.S: _S,
-    Gate.SDG: _SDG,
-    Gate.T: _T,
-    Gate.TDG: _TDG,
-    Gate.SX: _SX,
-    Gate.SXDG: _SXDG,
-    Gate.CX: _CX,
-    Gate.CZ: _CZ,
+_R = 1 / math.sqrt(2.0)
+_W = cmath.exp(1j * math.pi / 4)
+#: Diagonal one-qubit gates: the factor on |1>.
+_PHASES = {Gate.Z: -1 + 0j, Gate.S: 1j, Gate.SDG: -1j, Gate.T: _W, Gate.TDG: _W.conjugate()}
+#: Gates that split each entry in two, as ((u00, u01), (u10, u11)); √X = H S H.
+_SPLITS = {
+    Gate.H: ((_R, _R), (_R, -_R)),
+    Gate.SX: (((1 + 1j) / 2, (1 - 1j) / 2), ((1 - 1j) / 2, (1 + 1j) / 2)),
+    Gate.SXDG: (((1 - 1j) / 2, (1 + 1j) / 2), ((1 + 1j) / 2, (1 - 1j) / 2)),
 }
 
 
@@ -80,39 +77,99 @@ def gate_matrix(kind: Gate) -> np.ndarray:
     For two-qubit kinds the first operand is the least-significant bit of
     the sub-index, matching the full-register convention.
     """
-    if kind not in _MATRICES:
-        raise SimulationError(f"{kind.value} has no gate matrix")
-    return _MATRICES[kind].copy()
+    qubits = tuple(range(kind.arity))
+    return unitary_of(Circuit(kind.arity, 0, (Op(kind, qubits),), frozenset(qubits)))
 
 
-def _apply_unitary(arr: np.ndarray, op: Op) -> np.ndarray:
-    """Apply a unitary op to ``arr`` indexed by basis state on axis 0.
+def require_valid(circuit: Circuit) -> None:
+    """Raise SimulationError unless ``circuit`` is executable."""
+    violations = validate(circuit)
+    if violations:
+        raise SimulationError(
+            "invalid circuit: " + "; ".join(str(v) for v in violations))
 
-    Works for statevectors (dim,) and for matrices (dim, k), which is how
-    ``unitary_of`` evolves all basis columns at once.
+
+def _step(state: State, op: Op) -> State:
+    """Apply one unitary op (its condition is the caller's business) to a sparse state."""
+    gate = op.gate
+    if gate is Gate.CX:
+        control, target = 1 << op.qubits[0], 1 << op.qubits[1]
+        return {k ^ target if k & control else k: a for k, a in state.items()}
+    if gate is Gate.CZ:
+        both = (1 << op.qubits[0]) | (1 << op.qubits[1])
+        return {k: -a if k & both == both else a for k, a in state.items()}
+    mask = 1 << op.qubits[0]
+    if gate is Gate.X:
+        return {k ^ mask: a for k, a in state.items()}
+    phase = _PHASES.get(gate)
+    if phase is not None:
+        return {k: a * phase if k & mask else a for k, a in state.items()}
+    (u00, u01), (u10, u11) = _SPLITS[gate]
+    out: State = {}
+    for k, a in state.items():
+        if k & mask:
+            lo, to_lo, to_hi = k ^ mask, u01, u11
+        else:
+            lo, to_lo, to_hi = k, u00, u10
+        hi = lo | mask
+        out[lo] = out.get(lo, 0) + to_lo * a
+        out[hi] = out.get(hi, 0) + to_hi * a
+    return {k: a for k, a in out.items() if abs(a) > _NEGLIGIBLE}
+
+
+def _weight(state: State) -> float:
+    """Squared norm of a sparse state."""
+    return sum(a.real * a.real + a.imag * a.imag for a in state.values())
+
+
+def walk_branches(
+    ops: tuple[Op, ...], state: State
+) -> list[tuple[tuple[int, ...], tuple[int, ...], State]]:
+    """Every branch of ``ops`` applied to ``state``, in depth-first order.
+
+    Each leaf is (visible outcomes, hidden reset outcomes, unnormalized
+    state): it is keyed by its full history. Outcome 0 is explored before 1
+    at each MEASURE and each firing RESET; branches with squared norm below
+    PRUNE_THRESHOLD are dropped. The circuit must already be valid.
     """
-    dim = arr.shape[0]
-    idx = np.arange(dim)
-    if op.gate is Gate.CX:
-        c, t = op.qubits
-        sel = idx[(((idx >> c) & 1) == 1) & (((idx >> t) & 1) == 0)]
-        out = arr.copy()
-        out[sel] = arr[sel | (1 << t)]
-        out[sel | (1 << t)] = arr[sel]
-        return out
-    if op.gate is Gate.CZ:
-        a, b = op.qubits
-        sel = (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 1)
-        out = arr.copy()
-        out[sel] = -out[sel]
-        return out
-    (q,) = op.qubits
-    u = _MATRICES[op.gate]
-    lo = idx[((idx >> q) & 1) == 0]
-    hi = lo | (1 << q)
-    out = np.empty_like(arr)
-    out[lo] = u[0, 0] * arr[lo] + u[0, 1] * arr[hi]
-    out[hi] = u[1, 0] * arr[lo] + u[1, 1] * arr[hi]
+    leaves = []
+    stack = [(0, state, {}, (), ())]
+    while stack:
+        start, st, bits, outs, hidden = stack.pop()
+        for i in range(start, len(ops)):
+            op = ops[i]
+            if op.condition is not None and bits[op.condition[0]] != op.condition[1]:
+                continue
+            if op.gate.is_unitary:
+                st = _step(st, op)
+                continue
+            q = op.qubits[0]
+            keep = ~(1 << q) if op.gate is Gate.RESET else -1  # reset clears the wire
+            parts: tuple[State, State] = ({}, {})
+            for k, a in st.items():
+                parts[(k >> q) & 1][k & keep] = a
+            for m in (1, 0):  # pushed in reverse, so outcome 0 is popped first
+                if _weight(parts[m]) < PRUNE_THRESHOLD:
+                    continue
+                if op.gate is Gate.MEASURE:
+                    stack.append((i + 1, parts[m], {**bits, op.bit: m}, outs + (m,), hidden))
+                else:
+                    stack.append((i + 1, parts[m], bits, outs, hidden + (m,)))
+            break
+        else:
+            if _weight(st) >= PRUNE_THRESHOLD:
+                leaves.append((outs, hidden, st))
+    return leaves
+
+
+def _sparse(state: np.ndarray) -> State:
+    return {int(k): complex(state[k]) for k in np.flatnonzero(state)}
+
+
+def _dense(state: State, dim: int) -> np.ndarray:
+    out = np.zeros(dim, dtype=complex)
+    out[np.fromiter(state, dtype=np.int64, count=len(state))] = np.fromiter(
+        state.values(), dtype=complex, count=len(state))
     return out
 
 
@@ -125,22 +182,8 @@ def apply(state: np.ndarray, op: Op) -> np.ndarray:
     qubit_count = dim.bit_length() - 1
     if dim != 1 << qubit_count:
         raise SimulationError(f"state length {dim} is not a power of two")
-    for q in op.qubits:
-        if not 0 <= q < qubit_count:
-            raise SimulationError(f"qubit {q} out of range for {qubit_count}-qubit state")
-    if op.gate in (Gate.CX, Gate.CZ) and op.qubits[0] == op.qubits[1]:
-        raise SimulationError("identical operands")
-    return _apply_unitary(state, op)
-
-
-def _project(state: np.ndarray, qubit: int, value: int) -> np.ndarray:
-    proj = state.copy()
-    proj[((np.arange(state.shape[0]) >> qubit) & 1) != value] = 0
-    return proj
-
-
-def _squared_norm(state: np.ndarray) -> float:
-    return float(np.real(np.vdot(state, state)))
+    require_valid(Circuit(qubit_count, 0, (op,), frozenset(range(qubit_count))))
+    return _dense(_step(_sparse(state), op), dim)
 
 
 def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:
@@ -149,63 +192,25 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     Depth-first over outcomes, 0 before 1, so the emitted order is
     reproducible. Projections with squared norm below PRUNE_THRESHOLD are
     dropped; classical conditions are evaluated against the branch's
-    recorded outcomes. Ancilla qubits of the input must be in |0>.
+    recorded outcomes. The two outcomes of a firing RESET are separate
+    records with the same ``outcomes``. Ancilla qubits of the input must be
+    in |0>.
     """
-    violations = validate(circuit)
-    if violations:
-        raise SimulationError(
-            "invalid circuit: " + "; ".join(str(v) for v in violations))
+    require_valid(circuit)
     dim = 1 << circuit.qubit_count
-    state = np.asarray(input_state, dtype=complex)
-    if state.shape != (dim,):
-        raise SimulationError(f"state must have shape ({dim},), got {state.shape}")
-    if abs(_squared_norm(state) - 1.0) > _INPUT_TOLERANCE:
+    dense = np.asarray(input_state, dtype=complex)
+    if dense.shape != (dim,):
+        raise SimulationError(f"state must have shape ({dim},), got {dense.shape}")
+    state = _sparse(dense)
+    if abs(_weight(state) - 1.0) > _INPUT_TOLERANCE:
         raise SimulationError("input state is not normalized")
-    anc_mask = 0
-    for q in circuit.ancilla_qubits:
-        anc_mask |= 1 << q
-    if anc_mask:
-        off = state[(np.arange(dim) & anc_mask) != 0]
-        if np.linalg.norm(off) > _INPUT_TOLERANCE:
-            raise SimulationError("ancilla qubits must start in |0>")
-
-    records: list[BranchRecord] = []
-    ops = circuit.ops
-
-    def walk(i: int, st: np.ndarray, bits: dict[int, int], outs: tuple[int, ...]) -> None:
-        while i < len(ops):
-            op = ops[i]
-            fires = op.condition is None or bits[op.condition[0]] == op.condition[1]
-            if op.gate is Gate.MEASURE:
-                q = op.qubits[0]
-                for m in (0, 1):
-                    proj = _project(st, q, m)
-                    if _squared_norm(proj) < PRUNE_THRESHOLD:
-                        continue
-                    walk(i + 1, proj, {**bits, op.bit: m}, outs + (m,))
-                return
-            if op.gate is Gate.RESET:
-                if fires:
-                    q = op.qubits[0]
-                    hi = np.arange(dim)[((np.arange(dim) >> q) & 1) == 1]
-                    kept = _project(st, q, 0)
-                    flipped = np.zeros_like(st)
-                    flipped[hi & ~(1 << q)] = st[hi]
-                    for proj in (kept, flipped):
-                        if _squared_norm(proj) < PRUNE_THRESHOLD:
-                            continue
-                        walk(i + 1, proj, bits, outs)
-                    return
-                i += 1
-                continue
-            if fires:
-                st = _apply_unitary(st, op)
-            i += 1
-        p = _squared_norm(st)
-        if p >= PRUNE_THRESHOLD:
-            records.append(BranchRecord(outs, p, st / np.sqrt(p)))
-
-    walk(0, state, {}, ())
+    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
+    if _weight({k: a for k, a in state.items() if k & anc_mask}) > _INPUT_TOLERANCE ** 2:
+        raise SimulationError("ancilla qubits must start in |0>")
+    records = []
+    for outcomes, _, leaf in walk_branches(circuit.ops, state):
+        p = _weight(leaf)
+        records.append(BranchRecord(outcomes, p, _dense(leaf, dim) / np.sqrt(p)))
     return records
 
 
@@ -214,13 +219,9 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-        if op.condition is not None:
-            raise SimulationError(f"op {i}: classically conditioned gate has no fixed unitary")
-    violations = validate(circuit)
-    if violations:
-        raise SimulationError(
-            "invalid circuit: " + "; ".join(str(v) for v in violations))
-    u = np.eye(1 << circuit.qubit_count, dtype=complex)
+    require_valid(circuit)
+    n = circuit.qubit_count
+    state: State = {(x << n) | x: 1 + 0j for x in range(1 << n)}
     for op in circuit.ops:
-        u = _apply_unitary(u, op)
-    return u
+        state = _step(state, op)
+    return _dense(state, 1 << (2 * n)).reshape(1 << n, 1 << n).T.copy()

@@ -10,15 +10,19 @@ map over all basis inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .simulator import run_branches
+from .simulator import PRUNE_THRESHOLD, State, require_valid, walk_branches
 
 DEFAULT_TOLERANCE = 1e-9
+#: A tolerance absorbs float rounding (~1e-15 here); one at or above this
+#: would accept channels that differ measurably from the target.
+MAX_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -88,34 +92,43 @@ def check_phase_identity() -> bool:
     return True
 
 
-def _data_block_indices(data: list[int], base: int, dim_data: int) -> np.ndarray:
-    """Full-register indices of the data block at ancilla assignment ``base``."""
-    xs = np.arange(dim_data)
-    full = np.full(dim_data, base, dtype=np.int64)
-    for j, q in enumerate(data):
-        full |= ((xs >> j) & 1) << q
-    return full
-
-
-def _expected_ancilla_sources(circuit: Circuit) -> dict[int, int | None]:
-    """For each ancilla qubit: None if it must end in |0>, else the index of
-    the measurement (in measurement order) whose outcome it is left holding.
-
-    A wire whose last touching op is its measurement is "measured out" and
-    deterministically holds that outcome; anything else must be |0>.
+def _measured_out(circuit: Circuit) -> dict[int, int]:
+    """Ancilla qubit -> index (in measurement order) of the measurement whose
+    outcome it is left holding, for each wire whose last touching op is its
+    measurement. Every other ancilla must end in |0>.
     """
-    sources: dict[int, int | None] = {q: None for q in circuit.ancilla_qubits}
-    meas_index = 0
-    for op in circuit.ops:
-        if op.gate is Gate.MEASURE:
-            if op.qubits[0] in sources:
-                sources[op.qubits[0]] = meas_index
-            meas_index += 1
-        else:
-            for q in op.qubits:
-                if q in sources:
-                    sources[q] = None
-    return sources
+    measurements = [op for op in circuit.ops if op.gate is Gate.MEASURE]
+    last = {q: op for op in circuit.ops for q in op.qubits}
+    return {q: measurements.index(op) for q, op in last.items()
+            if q in circuit.ancilla_qubits and op.gate is Gate.MEASURE}
+
+
+def _kraus_map(
+    leaf: State, n: int, data: list[int], anc_mask: int, base: int, tolerance: float
+) -> tuple[np.ndarray, bool]:
+    """One history's operator K[row, x] on the data block, from a leaf that
+    carries input x above the ``n``-qubit register, and whether every input's
+    branch has at most tolerance^2 of its weight outside ancilla pattern ``base``.
+    """
+    keys = np.fromiter(leaf, dtype=np.int64, count=len(leaf))
+    amps = np.fromiter(leaf.values(), dtype=complex, count=len(leaf))
+    cols = keys >> n
+    basis = keys & ((1 << n) - 1)
+    weights = amps.real ** 2 + amps.imag ** 2
+    dim_data = 1 << len(data)
+    inside = (basis & anc_mask) == base
+    total = np.bincount(cols, weights, minlength=dim_data)
+    off = np.bincount(cols[~inside], weights[~inside], minlength=dim_data)
+    # pruned as in a walk from one input; keeps rounding residue out of the ratio
+    live = total >= PRUNE_THRESHOLD
+    clean = not np.any(off[live] > tolerance ** 2 * total[live])
+    keep = inside & live[cols]
+    rows = np.zeros(int(keep.sum()), dtype=np.int64)
+    for j, q in enumerate(data):
+        rows |= ((basis[keep] >> q) & 1) << j
+    kraus = np.zeros((dim_data, dim_data), dtype=complex)
+    kraus[rows, cols[keep]] = amps[keep]
+    return kraus, clean
 
 
 def check_implements(
@@ -123,77 +136,63 @@ def check_implements(
 ) -> ChannelVerdict:
     """Exhaustively check that ``circuit`` implements ``target`` on its data qubits.
 
-    For every data-register basis state (ancillas in |0>), all measurement
-    branches are enumerated and grouped by outcome string. The verdict
-    passes iff each group's assembled map K_m is ~0 or equals
-    lambda_m * sqrt(p_m) * target with |lambda_m| = 1, every branch leaves
-    the ancilla register clean (|0>, or the recorded outcome for a
-    measured-out wire), and the group probabilities sum to 1.
+    Every data-register basis state (ancillas in |0>) is walked through every
+    branch; each full history (visible plus hidden reset outcomes) is one Kraus
+    operator K_h over all inputs. The verdict passes iff each K_h is ~0 or
+    equals c_h * target, every branch leaves the ancillas clean (|0>, or the
+    recorded outcome for a measured-out wire), and the |c_h|^2 sum to 1. Each
+    visible outcome string gets one report: the sum of its histories'
+    probabilities, their worst deviation and the first one's phase.
     """
+    if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
+        raise ValueError(
+            f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
     data = sorted(circuit.data_qubits)
-    anc = sorted(circuit.ancilla_qubits)
     dim_data = 1 << len(data)
     target = np.asarray(target, dtype=complex)
     if target.shape != (dim_data, dim_data):
         raise ValueError(
             f"target dimension {target.shape} does not match "
             f"{len(data)} data qubits (expected {(dim_data, dim_data)})")
+    require_valid(circuit)
 
-    anc_sources = _expected_ancilla_sources(circuit)
-    groups: dict[tuple[int, ...], np.ndarray] = {}
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    ancilla_clean = True
-    split_branch = False
-
-    dim_full = 1 << circuit.qubit_count
-    input_indices = _data_block_indices(data, 0, dim_data)
-    for x in range(dim_data):
-        state = np.zeros(dim_full, dtype=complex)
-        state[input_indices[x]] = 1.0
-        for rec in run_branches(circuit, state):
-            base = 0
-            for q in anc:
-                src = anc_sources[q]
-                if src is not None and rec.outcomes[src] == 1:
-                    base |= 1 << q
-            block = _data_block_indices(data, base, dim_data)
-            col = rec.final_state[block]
-            off_mass = np.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2))))
-            if off_mass > tolerance:
-                ancilla_clean = False
-            key = (rec.outcomes, x)
-            if key in seen:
-                # a RESET split two histories into one outcome string; the
-                # per-outcome map is then not a single linear map
-                split_branch = True
-            seen.add(key)
-            k = groups.setdefault(
-                rec.outcomes, np.zeros((dim_data, dim_data), dtype=complex))
-            k[:, x] += np.sqrt(rec.probability) * col
-
+    n = circuit.qubit_count
+    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
+    measured_out = _measured_out(circuit)
+    # every input at once: input x rides in the index bits above the register
+    inputs: State = {
+        (x << n) | sum(((x >> j) & 1) << q for j, q in enumerate(data)): 1 + 0j
+        for x in range(dim_data)
+    }
     pivot_flat = int(np.argmax(np.abs(target)))
     pivot = target.flat[pivot_flat]
-    reports: list[BranchReport] = []
-    deviations_ok = True
-    probability_total = 0.0
-    for outcomes in sorted(groups):
-        k = groups[outcomes]
-        if np.abs(k).max() <= tolerance:
-            reports.append(BranchReport(outcomes, 0.0, complex(1), float(np.abs(k).max())))
-            continue
-        scalar = complex(k.flat[pivot_flat] / pivot)
-        deviation = float(np.abs(k - scalar * target).max())
-        p = abs(scalar) ** 2
-        phase = scalar / abs(scalar) if abs(scalar) > 0 else complex(1)
-        probability_total += p
-        reports.append(BranchReport(outcomes, p, phase, deviation))
-        if deviation > tolerance:
-            deviations_ok = False
 
+    # visible outcomes -> (|c|^2, phase, deviation) of each history, depth-first
+    groups: dict[tuple[int, ...], list[tuple[float, complex, float]]] = {}
+    ancilla_clean = True
+    for outcomes, _, leaf in walk_branches(circuit.ops, inputs):
+        base = sum(outcomes[m] << q for q, m in measured_out.items())
+        kraus, clean = _kraus_map(leaf, n, data, anc_mask, base, tolerance)
+        ancilla_clean &= clean
+        histories = groups.setdefault(outcomes, [])
+        largest = float(np.abs(kraus).max())
+        if largest <= tolerance:
+            histories.append((0.0, complex(1), largest))
+            continue
+        scalar = complex(kraus.flat[pivot_flat] / pivot)
+        deviation = float(np.abs(kraus - scalar * target).max())
+        phase = scalar / abs(scalar) if scalar else complex(1)
+        histories.append((abs(scalar) ** 2, phase, deviation))
+
+    reports = tuple(
+        BranchReport(outcomes, sum(h[0] for h in histories), histories[0][1],
+                     max(h[2] for h in histories))
+        for outcomes, histories in sorted(groups.items())
+    )
+    probability_total = sum(r.probability for r in reports)
     passed = (
-        deviations_ok
-        and ancilla_clean
-        and not split_branch
+        ancilla_clean
+        and all(r.max_deviation <= tolerance for r in reports)
         and abs(probability_total - 1.0) <= tolerance
     )
-    return ChannelVerdict(passed, tuple(reports), ancilla_clean, probability_total)
+    return ChannelVerdict(passed, reports, ancilla_clean, probability_total)

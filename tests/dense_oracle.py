@@ -1,0 +1,192 @@
+"""Test-only differential oracle: the dense statevector kernel and branch walk.
+
+This is the simulator the package shipped before its sparse branch engine,
+kept unchanged so the tests can compare the two: every op rewrites a dense
+2^q vector (or the 2^q x 2^q matrix in ``unitary_of``) through index masks,
+and MEASURE and a firing RESET project it. Like the old engine it emits the
+two outcomes of a hidden RESET as two records with the same visible
+outcomes. Nothing in ``src/`` imports it.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from cnzsynth import BranchRecord, Circuit, Gate, Op, SimulationError, validate
+
+#: Branches whose squared norm falls below this are not explored or emitted.
+PRUNE_THRESHOLD = 1e-12
+
+_INPUT_TOLERANCE = 1e-9
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
+_T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
+_TDG = np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=complex)
+# sqrt(X) family: X^{1/2} = H S H and X^{-1/2} = H S† H.
+_SX = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2
+_SXDG = np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]], dtype=complex) / 2
+# Two-qubit sub-index convention: first operand is the least-significant bit.
+_CX = np.array(
+    [[1, 0, 0, 0],
+     [0, 0, 0, 1],
+     [0, 0, 1, 0],
+     [0, 1, 0, 0]], dtype=complex)
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+
+_MATRICES = {
+    Gate.H: _H,
+    Gate.X: _X,
+    Gate.Z: _Z,
+    Gate.S: _S,
+    Gate.SDG: _SDG,
+    Gate.T: _T,
+    Gate.TDG: _TDG,
+    Gate.SX: _SX,
+    Gate.SXDG: _SXDG,
+    Gate.CX: _CX,
+    Gate.CZ: _CZ,
+}
+
+
+def _apply_unitary(arr: np.ndarray, op: Op) -> np.ndarray:
+    """Apply a unitary op to ``arr`` indexed by basis state on axis 0.
+
+    Works for statevectors (dim,) and for matrices (dim, k), which is how
+    ``unitary_of`` evolves all basis columns at once.
+    """
+    dim = arr.shape[0]
+    idx = np.arange(dim)
+    if op.gate is Gate.CX:
+        c, t = op.qubits
+        sel = idx[(((idx >> c) & 1) == 1) & (((idx >> t) & 1) == 0)]
+        out = arr.copy()
+        out[sel] = arr[sel | (1 << t)]
+        out[sel | (1 << t)] = arr[sel]
+        return out
+    if op.gate is Gate.CZ:
+        a, b = op.qubits
+        sel = (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 1)
+        out = arr.copy()
+        out[sel] = -out[sel]
+        return out
+    (q,) = op.qubits
+    u = _MATRICES[op.gate]
+    lo = idx[((idx >> q) & 1) == 0]
+    hi = lo | (1 << q)
+    out = np.empty_like(arr)
+    out[lo] = u[0, 0] * arr[lo] + u[0, 1] * arr[hi]
+    out[hi] = u[1, 0] * arr[lo] + u[1, 1] * arr[hi]
+    return out
+
+
+def apply(state: np.ndarray, op: Op) -> np.ndarray:
+    """Apply one unitary gate instance to a statevector, returning a new array."""
+    if not op.gate.is_unitary:
+        raise SimulationError(f"cannot apply {op.gate.value} as a unitary")
+    state = np.asarray(state, dtype=complex)
+    dim = state.shape[0]
+    qubit_count = dim.bit_length() - 1
+    if dim != 1 << qubit_count:
+        raise SimulationError(f"state length {dim} is not a power of two")
+    for q in op.qubits:
+        if not 0 <= q < qubit_count:
+            raise SimulationError(f"qubit {q} out of range for {qubit_count}-qubit state")
+    if op.gate in (Gate.CX, Gate.CZ) and op.qubits[0] == op.qubits[1]:
+        raise SimulationError("identical operands")
+    return _apply_unitary(state, op)
+
+
+def _project(state: np.ndarray, qubit: int, value: int) -> np.ndarray:
+    proj = state.copy()
+    proj[((np.arange(state.shape[0]) >> qubit) & 1) != value] = 0
+    return proj
+
+
+def _squared_norm(state: np.ndarray) -> float:
+    return float(np.real(np.vdot(state, state)))
+
+
+def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:
+    """Enumerate all measurement branches of ``circuit`` on ``input_state``.
+
+    Depth-first over outcomes, 0 before 1, so the emitted order is
+    reproducible. Projections with squared norm below PRUNE_THRESHOLD are
+    dropped; classical conditions are evaluated against the branch's
+    recorded outcomes. Ancilla qubits of the input must be in |0>.
+    """
+    violations = validate(circuit)
+    if violations:
+        raise SimulationError(
+            "invalid circuit: " + "; ".join(str(v) for v in violations))
+    dim = 1 << circuit.qubit_count
+    state = np.asarray(input_state, dtype=complex)
+    if state.shape != (dim,):
+        raise SimulationError(f"state must have shape ({dim},), got {state.shape}")
+    if abs(_squared_norm(state) - 1.0) > _INPUT_TOLERANCE:
+        raise SimulationError("input state is not normalized")
+    anc_mask = 0
+    for q in circuit.ancilla_qubits:
+        anc_mask |= 1 << q
+    if anc_mask:
+        off = state[(np.arange(dim) & anc_mask) != 0]
+        if np.linalg.norm(off) > _INPUT_TOLERANCE:
+            raise SimulationError("ancilla qubits must start in |0>")
+
+    records: list[BranchRecord] = []
+    ops = circuit.ops
+
+    def walk(i: int, st: np.ndarray, bits: dict[int, int], outs: tuple[int, ...]) -> None:
+        while i < len(ops):
+            op = ops[i]
+            fires = op.condition is None or bits[op.condition[0]] == op.condition[1]
+            if op.gate is Gate.MEASURE:
+                q = op.qubits[0]
+                for m in (0, 1):
+                    proj = _project(st, q, m)
+                    if _squared_norm(proj) < PRUNE_THRESHOLD:
+                        continue
+                    walk(i + 1, proj, {**bits, op.bit: m}, outs + (m,))
+                return
+            if op.gate is Gate.RESET:
+                if fires:
+                    q = op.qubits[0]
+                    hi = np.arange(dim)[((np.arange(dim) >> q) & 1) == 1]
+                    kept = _project(st, q, 0)
+                    flipped = np.zeros_like(st)
+                    flipped[hi & ~(1 << q)] = st[hi]
+                    for proj in (kept, flipped):
+                        if _squared_norm(proj) < PRUNE_THRESHOLD:
+                            continue
+                        walk(i + 1, proj, bits, outs)
+                    return
+                i += 1
+                continue
+            if fires:
+                st = _apply_unitary(st, op)
+            i += 1
+        p = _squared_norm(st)
+        if p >= PRUNE_THRESHOLD:
+            records.append(BranchRecord(outs, p, st / np.sqrt(p)))
+
+    walk(0, state, {}, ())
+    return records
+
+
+def unitary_of(circuit: Circuit) -> np.ndarray:
+    """Exact unitary of a measurement-free, condition-free circuit."""
+    for i, op in enumerate(circuit.ops):
+        if not op.gate.is_unitary:
+            raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
+        if op.condition is not None:
+            raise SimulationError(f"op {i}: classically conditioned gate has no fixed unitary")
+    violations = validate(circuit)
+    if violations:
+        raise SimulationError(
+            "invalid circuit: " + "; ".join(str(v) for v in violations))
+    u = np.eye(1 << circuit.qubit_count, dtype=complex)
+    for op in circuit.ops:
+        u = _apply_unitary(u, op)
+    return u

@@ -87,6 +87,17 @@ def test_verify_reference_url(capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])
+def test_verify_rejects_meaningless_tolerance(tmp_path, capsys, tolerance):
+    path = tmp_path / "c.qct"
+    run(capsys, "synth", "--gate", "cccz", "--out", str(path))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cccz",
+                               f"--tolerance={tolerance}")
+    assert code == 2
+    assert stdout == ""
+    assert "tolerance" in stderr
+
+
 def test_verify_rejects_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "t.qct"
     path.write_text("qubits 2\nbits 0\ndata 0 1\nt 0\n")

@@ -7,17 +7,31 @@ import pytest
 from cnzsynth import (
     Circuit,
     CircuitBuilder,
+    CnZSpec,
     Gate,
+    Method,
     Op,
     and_compute,
+    and_uncompute,
     cccz_6t,
     check_implements,
     check_phase_identity,
     compose,
     equal_up_to_global_phase,
     oracle_cnz,
+    synth_cnz,
     unitary_of,
 )
+
+
+def without_ops(circuit: Circuit, *indices: int) -> Circuit:
+    ops = tuple(op for i, op in enumerate(circuit.ops) if i not in indices)
+    return Circuit(circuit.qubit_count, circuit.bit_count, ops, circuit.data_qubits)
+
+
+def then_h_reset(circuit: Circuit, ancilla: int) -> Circuit:
+    tail = CircuitBuilder(circuit.qubit_count, circuit.data_qubits).h(ancilla).reset(ancilla)
+    return compose(circuit, tail.build())
 
 
 def test_oracle_cnz_n1_is_cz():
@@ -115,6 +129,45 @@ def test_check_implements_composition_squares_target():
     assert check_implements(c, oracle_cnz(3)).passed
     squared = oracle_cnz(3) @ oracle_cnz(3)
     assert check_implements(compose(c, c), squared).passed
+
+
+@pytest.mark.parametrize("circuit, target", [
+    (CircuitBuilder(2, (0,)).h(1).reset(1).build(), np.eye(2)),
+    (then_h_reset(cccz_6t(), 4), oracle_cnz(3)),
+    (then_h_reset(compose(and_compute(0, 1, 2), and_uncompute(0, 1, 2)), 2), np.eye(4)),
+], ids=["alone", "after-cccz", "after-and-pair"])
+def test_hidden_reset_histories_are_separate_kraus_operators(circuit, target):
+    # reset of |+> is the pair |0><0|, |0><1|: two histories of weight 1/2,
+    # each proportional to the target, never added coherently
+    verdict = check_implements(circuit, target)
+    assert verdict.passed
+    assert abs(verdict.probability_total - 1.0) <= 1e-9
+    measured = sum(op.gate is Gate.MEASURE for op in circuit.ops)
+    assert len(verdict.branch_reports) == 2 ** measured
+
+
+def test_deleted_t_is_wrong_but_leaves_ancillas_clean():
+    # op 12 of the optimized C^3Z is `tdg 4`; without it the channel is
+    # wrong, yet every branch still returns the ancillas to |0>
+    circuit = synth_cnz(CnZSpec(3), Method.OPTIMIZED)
+    assert circuit.ops[12] == Op(Gate.TDG, (4,))
+    verdict = check_implements(without_ops(circuit, 12), oracle_cnz(3))
+    assert verdict.passed is False
+    assert verdict.ancilla_clean is True
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1.0, 1e-3, 0.5])
+def test_check_implements_rejects_meaningless_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        check_implements(cccz_6t(), oracle_cnz(3), tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-9, 1e-6, 9e-4])
+def test_two_deleted_t_gates_fail_at_every_accepted_tolerance(tolerance):
+    circuit = cccz_6t()
+    assert [circuit.ops[i].gate for i in (1, 3)] == [Gate.T, Gate.TDG]
+    assert not check_implements(without_ops(circuit, 1, 3), oracle_cnz(3), tolerance).passed
+    assert check_implements(circuit, oracle_cnz(3), tolerance).passed
 
 
 def test_equal_up_to_global_phase_exact():
