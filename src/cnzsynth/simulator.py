@@ -1,23 +1,24 @@
-"""Sparse statevector execution with depth-first measurement branching.
+"""Sparse statevector execution of every measurement branch in one labeled pass.
 
-A state maps basis index to nonzero amplitude. X and CX relabel keys, CZ
-and the diagonal gates scale entries, H and √X(†) split each entry in two,
-and MEASURE or a firing RESET partitions the map into branches. From a basis
-input the map stays small, because every H and √X here acts on an ancilla.
+A state is two parallel arrays: int64 keys (basis index plus label bits above
+the register) and the complex amplitudes of its nonzero entries. X and CX
+relabel keys, CZ and the diagonal gates scale entries, and H and √X(†) pair
+each key with its partner on the wire. Every H and √X here acts on an
+ancilla, so from basis inputs the state stays small. Measurement is deferred
+(Nielsen & Chuang §4.4): each MEASURE and RESET writes its outcome into its
+own label bit, so each branch is one label class and every op runs once over
+all of them. Events take label bits in op order from the top down, so
+ascending label order is depth-first order, outcome 0 before 1. A classical
+condition masks on its measurement's label bit. One key holds at most
+MAX_KEY_BITS bits; a wider circuit raises SimulationError.
 
 Conventions, pinned for the codec and verifier:
   - qubit 0 is the least-significant bit of the basis-state index;
   - MEASURE projects the wire (the post-measurement wire holds the outcome;
     synthesized circuits follow it with an explicit RESET);
-  - RESET applies the Kraus pair |0><0|, |0><1| to the wire without
-    recording an outcome, so on a superposed wire it branches like a
-    measurement whose two outcomes stay separate histories;
-  - global phase is never normalized away; phase comparison is the
-    verifier's job.
-
-Index bits above the register pass through every gate untouched, so they
-can label entries: ``unitary_of`` and the verifier label each input column
-that way and walk all of them at once.
+  - RESET applies the Kraus pair |0><0|, |0><1| to the wire without recording
+    an outcome: its two outcomes are separate histories (unfired, it writes 0);
+  - global phase is never normalized away; phase comparison is the verifier's.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, Op, validate
 
-#: Branches whose squared norm falls below this are not explored or emitted.
+#: Branches whose final squared norm falls below this are dropped (as if at their event).
 PRUNE_THRESHOLD = 1e-12
 
 _INPUT_TOLERANCE = 1e-9
@@ -37,8 +38,10 @@ _INPUT_TOLERANCE = 1e-9
 #: Rounding residue of a cancellation in a splitting gate; dropped.
 _NEGLIGIBLE = 1e-15
 
-#: A sparse state: basis index (plus any label bits above the register) -> amplitude.
-State = dict[int, complex]
+_EVENTS = (Gate.MEASURE, Gate.RESET)
+
+#: Bits one int64 key may use for the register, input and event labels.
+MAX_KEY_BITS = 62
 
 
 class SimulationError(ValueError):
@@ -47,13 +50,14 @@ class SimulationError(ValueError):
 
 _R = 1 / math.sqrt(2.0)
 _W = cmath.exp(1j * math.pi / 4)
-#: Diagonal one-qubit gates: the factor on |1>.
-_PHASES = {Gate.Z: -1 + 0j, Gate.S: 1j, Gate.SDG: -1j, Gate.T: _W, Gate.TDG: _W.conjugate()}
-#: Gates that split each entry in two, as ((u00, u01), (u10, u11)); √X = H S H.
+#: Diagonal gates: the factor where every wire of the gate holds 1.
+_PHASES = {Gate.Z: -1 + 0j, Gate.S: 1j, Gate.SDG: -1j, Gate.T: _W, Gate.TDG: _W.conjugate(),
+           Gate.CZ: -1 + 0j}
+#: Gates that mix |0> and |1>, as [[u00, u01], [u10, u11]]; √X = H S H.
 _SPLITS = {
-    Gate.H: ((_R, _R), (_R, -_R)),
-    Gate.SX: (((1 + 1j) / 2, (1 - 1j) / 2), ((1 - 1j) / 2, (1 + 1j) / 2)),
-    Gate.SXDG: (((1 - 1j) / 2, (1 + 1j) / 2), ((1 + 1j) / 2, (1 - 1j) / 2)),
+    Gate.H: np.array([[_R, _R], [_R, -_R]], dtype=complex),
+    Gate.SX: np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2,
+    Gate.SXDG: np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]]) / 2,
 }
 
 
@@ -89,87 +93,79 @@ def require_valid(circuit: Circuit) -> None:
             "invalid circuit: " + "; ".join(str(v) for v in violations))
 
 
-def _step(state: State, op: Op) -> State:
-    """Apply one unitary op (its condition is the caller's business) to a sparse state."""
-    gate = op.gate
-    if gate is Gate.CX:
-        control, target = 1 << op.qubits[0], 1 << op.qubits[1]
-        return {k ^ target if k & control else k: a for k, a in state.items()}
-    if gate is Gate.CZ:
-        both = (1 << op.qubits[0]) | (1 << op.qubits[1])
-        return {k: -a if k & both == both else a for k, a in state.items()}
-    mask = 1 << op.qubits[0]
-    if gate is Gate.X:
-        return {k ^ mask: a for k, a in state.items()}
-    phase = _PHASES.get(gate)
-    if phase is not None:
-        return {k: a * phase if k & mask else a for k, a in state.items()}
-    (u00, u01), (u10, u11) = _SPLITS[gate]
-    out: State = {}
-    for k, a in state.items():
-        if k & mask:
-            lo, to_lo, to_hi = k ^ mask, u01, u11
+def _event_bits(ops: tuple[Op, ...], base: int) -> dict[int, int]:
+    """Label bit of each MEASURE and RESET by op index: the first event takes the
+    highest bit, the last takes bit ``base``. Keys are held to MAX_KEY_BITS."""
+    events = [i for i, op in enumerate(ops) if op.gate in _EVENTS]
+    if base + len(events) > MAX_KEY_BITS:
+        raise SimulationError(
+            f"{base} register and input label bits plus {len(events)} measurement and "
+            f"reset labels exceed the {MAX_KEY_BITS}-bit key")
+    top = base + len(events) - 1
+    return {i: top - e for e, i in enumerate(events)}
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted, nonempty array."""
+    return np.concatenate(([True], values[1:] != values[:-1]))
+
+
+def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray):
+    """Apply a mixing gate ``u`` (H, √X or √X†) on wire ``q``, pairing k with k ^ 2^q."""
+    mask = 1 << q
+    lo = keys & ~mask
+    one = keys != lo
+    to = u.take(one.view(np.int8), axis=1) * amps  # each entry's share of |0>, |1>
+    if np.count_nonzero(one):
+        order = np.argsort(lo, kind="stable")
+        first = run_starts(lo[order])
+        if not first.all():  # partners present: add each pair's shares
+            lo = lo[order[first]]
+            to = np.add.reduceat(to[:, order], np.flatnonzero(first), axis=1)
+            keys, amps = np.concatenate((lo, lo | mask)), to.ravel()
+            keep = np.abs(amps) > _NEGLIGIBLE
+            return keys[keep], amps[keep]
+    return np.concatenate((lo, lo | mask)), to.ravel()
+
+
+def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: int):
+    """Run valid ``ops`` once over every branch of a sparse state whose keys
+    use only the bits below ``base``; returns (keys, amps, _event_bits(ops, base)).
+    Both arrays may be updated in place."""
+    labels = _event_bits(ops, base)
+    bit_label = {op.bit: labels[i] for i, op in enumerate(ops) if op.bit is not None}
+    for i, op in enumerate(ops):
+        q = op.qubits[0]
+        care = want = 0  # the op acts on the entries whose keys & care == want
+        if op.condition is not None:
+            care = 1 << bit_label[op.condition[0]]
+            want = care * op.condition[1]
+        split, phase = _SPLITS.get(op.gate), _PHASES.get(op.gate)
+        wires = (1 << q) | (1 << op.qubits[-1])
+        if op.bit is not None:  # MEASURE copies its wire into its label
+            keys |= (keys & (1 << q)) << (labels[i] - q)
+        elif split is not None and not care:
+            keys, amps = _split(keys, amps, q, split)
+        elif split is not None:  # split where the op fires, pass the rest through
+            fires = (keys & care) == want
+            k, a = _split(keys[fires], amps[fires], q, split)
+            keys, amps = np.concatenate((keys[~fires], k)), np.concatenate((amps[~fires], a))
+        elif phase is not None:  # where every wire holds 1
+            np.multiply(amps, phase, out=amps, where=(keys & (care | wires)) == (want | wires))
         else:
-            lo, to_lo, to_hi = k, u00, u10
-        hi = lo | mask
-        out[lo] = out.get(lo, 0) + to_lo * a
-        out[hi] = out.get(hi, 0) + to_hi * a
-    return {k: a for k, a in out.items() if abs(a) > _NEGLIGIBLE}
+            if i in labels:  # RESET moves a 1 on its wire into its label
+                care, want, flip = care | wires, want | wires, wires | (1 << labels[i])
+            elif len(op.qubits) == 2:  # CX flips its target where its control holds 1
+                care, want, flip = care | (1 << q), want | (1 << q), 1 << op.qubits[1]
+            else:
+                flip = wires
+            keys ^= ((keys & care) == want) * flip if care else flip
+    return keys, amps, labels
 
 
-def _weight(state: State) -> float:
-    """Squared norm of a sparse state."""
-    return sum(a.real * a.real + a.imag * a.imag for a in state.values())
-
-
-def walk_branches(
-    ops: tuple[Op, ...], state: State
-) -> list[tuple[tuple[int, ...], tuple[int, ...], State]]:
-    """Every branch of ``ops`` applied to ``state``, in depth-first order.
-
-    Each leaf is (visible outcomes, hidden reset outcomes, unnormalized
-    state): it is keyed by its full history. Outcome 0 is explored before 1
-    at each MEASURE and each firing RESET; branches with squared norm below
-    PRUNE_THRESHOLD are dropped. The circuit must already be valid.
-    """
-    leaves = []
-    stack = [(0, state, {}, (), ())]
-    while stack:
-        start, st, bits, outs, hidden = stack.pop()
-        for i in range(start, len(ops)):
-            op = ops[i]
-            if op.condition is not None and bits[op.condition[0]] != op.condition[1]:
-                continue
-            if op.gate.is_unitary:
-                st = _step(st, op)
-                continue
-            q = op.qubits[0]
-            keep = ~(1 << q) if op.gate is Gate.RESET else -1  # reset clears the wire
-            parts: tuple[State, State] = ({}, {})
-            for k, a in st.items():
-                parts[(k >> q) & 1][k & keep] = a
-            for m in (1, 0):  # pushed in reverse, so outcome 0 is popped first
-                if _weight(parts[m]) < PRUNE_THRESHOLD:
-                    continue
-                if op.gate is Gate.MEASURE:
-                    stack.append((i + 1, parts[m], {**bits, op.bit: m}, outs + (m,), hidden))
-                else:
-                    stack.append((i + 1, parts[m], bits, outs, hidden + (m,)))
-            break
-        else:
-            if _weight(st) >= PRUNE_THRESHOLD:
-                leaves.append((outs, hidden, st))
-    return leaves
-
-
-def _sparse(state: np.ndarray) -> State:
-    return {int(k): complex(state[k]) for k in np.flatnonzero(state)}
-
-
-def _dense(state: State, dim: int) -> np.ndarray:
+def _dense(keys: np.ndarray, amps: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros(dim, dtype=complex)
-    out[np.fromiter(state, dtype=np.int64, count=len(state))] = np.fromiter(
-        state.values(), dtype=complex, count=len(state))
+    out[keys] = amps
     return out
 
 
@@ -183,34 +179,46 @@ def apply(state: np.ndarray, op: Op) -> np.ndarray:
     if dim != 1 << qubit_count:
         raise SimulationError(f"state length {dim} is not a power of two")
     require_valid(Circuit(qubit_count, 0, (op,), frozenset(range(qubit_count))))
-    return _dense(_step(_sparse(state), op), dim)
+    keys = np.flatnonzero(state)
+    keys, amps, _ = labeled_pass((op,), keys, state[keys], qubit_count)
+    return _dense(keys, amps, dim)
 
 
 def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:
     """Enumerate all measurement branches of ``circuit`` on ``input_state``.
 
     Depth-first over outcomes, 0 before 1, so the emitted order is
-    reproducible. Projections with squared norm below PRUNE_THRESHOLD are
+    reproducible. Branches with squared norm below PRUNE_THRESHOLD are
     dropped; classical conditions are evaluated against the branch's
     recorded outcomes. The two outcomes of a firing RESET are separate
     records with the same ``outcomes``. Ancilla qubits of the input must be
     in |0>.
     """
     require_valid(circuit)
-    dim = 1 << circuit.qubit_count
+    n = circuit.qubit_count
     dense = np.asarray(input_state, dtype=complex)
-    if dense.shape != (dim,):
-        raise SimulationError(f"state must have shape ({dim},), got {dense.shape}")
-    state = _sparse(dense)
-    if abs(_weight(state) - 1.0) > _INPUT_TOLERANCE:
+    if dense.shape != (1 << n,):
+        raise SimulationError(f"state must have shape ({1 << n},), got {dense.shape}")
+    weights = dense.real ** 2 + dense.imag ** 2
+    if abs(weights.sum() - 1.0) > _INPUT_TOLERANCE:
         raise SimulationError("input state is not normalized")
     anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
-    if _weight({k: a for k, a in state.items() if k & anc_mask}) > _INPUT_TOLERANCE ** 2:
+    if weights[np.arange(1 << n) & anc_mask != 0].sum() > _INPUT_TOLERANCE ** 2:
         raise SimulationError("ancilla qubits must start in |0>")
+    keys = np.flatnonzero(dense)
+    keys, amps, labels = labeled_pass(circuit.ops, keys, dense[keys], n)
+    order = np.argsort(keys, kind="stable")
+    keys, amps = keys[order], amps[order]
+    measured = [labels[i] for i, op in enumerate(circuit.ops) if op.bit is not None]
+    starts = np.flatnonzero(run_starts(keys >> n))
     records = []
-    for outcomes, _, leaf in walk_branches(circuit.ops, state):
-        p = _weight(leaf)
-        records.append(BranchRecord(outcomes, p, _dense(leaf, dim) / np.sqrt(p)))
+    for start, stop in zip(starts, [*starts[1:], len(keys)]):
+        leaf = amps[start:stop]
+        p = float(np.vdot(leaf, leaf).real)
+        if p >= PRUNE_THRESHOLD:
+            outcomes = tuple(int(keys[start] >> b) & 1 for b in measured)
+            records.append(BranchRecord(
+                outcomes, p, _dense(keys[start:stop] & ((1 << n) - 1), leaf / np.sqrt(p), 1 << n)))
     return records
 
 
@@ -221,7 +229,6 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
     require_valid(circuit)
     n = circuit.qubit_count
-    state: State = {(x << n) | x: 1 + 0j for x in range(1 << n)}
-    for op in circuit.ops:
-        state = _step(state, op)
-    return _dense(state, 1 << (2 * n)).reshape(1 << n, 1 << n).T.copy()
+    x = np.arange(1 << n, dtype=np.int64)  # column x rides above the register
+    keys, amps, _ = labeled_pass(circuit.ops, (x << n) | x, np.ones(1 << n, dtype=complex), 2 * n)
+    return _dense(keys, amps, 1 << (2 * n)).reshape(1 << n, 1 << n).T.copy()

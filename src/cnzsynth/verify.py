@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .circuit import Circuit, Gate
-from .simulator import PRUNE_THRESHOLD, State, require_valid, walk_branches
+from .circuit import Circuit
+from .simulator import PRUNE_THRESHOLD, labeled_pass, require_valid, run_starts
 
 DEFAULT_TOLERANCE = 1e-9
 #: A tolerance absorbs float rounding (~1e-15 here); one at or above this
@@ -59,10 +59,17 @@ def oracle_cnz(n: int) -> np.ndarray:
     return np.diag(diag)
 
 
+def _require_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
+        raise ValueError(
+            f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
+
+
 def equal_up_to_global_phase(
     a: np.ndarray, b: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[bool, complex]:
     """Test max-norm equality of A and phase*B, with phase fitted from B's largest entry."""
+    _require_tolerance(tolerance)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
@@ -92,61 +99,20 @@ def check_phase_identity() -> bool:
     return True
 
 
-def _measured_out(circuit: Circuit) -> dict[int, int]:
-    """Ancilla qubit -> index (in measurement order) of the measurement whose
-    outcome it is left holding, for each wire whose last touching op is its
-    measurement. Every other ancilla must end in |0>.
-    """
-    measurements = [op for op in circuit.ops if op.gate is Gate.MEASURE]
-    last = {q: op for op in circuit.ops for q in op.qubits}
-    return {q: measurements.index(op) for q, op in last.items()
-            if q in circuit.ancilla_qubits and op.gate is Gate.MEASURE}
-
-
-def _kraus_map(
-    leaf: State, n: int, data: list[int], anc_mask: int, base: int, tolerance: float
-) -> tuple[np.ndarray, bool]:
-    """One history's operator K[row, x] on the data block, from a leaf that
-    carries input x above the ``n``-qubit register, and whether every input's
-    branch has at most tolerance^2 of its weight outside ancilla pattern ``base``.
-    """
-    keys = np.fromiter(leaf, dtype=np.int64, count=len(leaf))
-    amps = np.fromiter(leaf.values(), dtype=complex, count=len(leaf))
-    cols = keys >> n
-    basis = keys & ((1 << n) - 1)
-    weights = amps.real ** 2 + amps.imag ** 2
-    dim_data = 1 << len(data)
-    inside = (basis & anc_mask) == base
-    total = np.bincount(cols, weights, minlength=dim_data)
-    off = np.bincount(cols[~inside], weights[~inside], minlength=dim_data)
-    # pruned as in a walk from one input; keeps rounding residue out of the ratio
-    live = total >= PRUNE_THRESHOLD
-    clean = not np.any(off[live] > tolerance ** 2 * total[live])
-    keep = inside & live[cols]
-    rows = np.zeros(int(keep.sum()), dtype=np.int64)
-    for j, q in enumerate(data):
-        rows |= ((basis[keep] >> q) & 1) << j
-    kraus = np.zeros((dim_data, dim_data), dtype=complex)
-    kraus[rows, cols[keep]] = amps[keep]
-    return kraus, clean
-
-
 def check_implements(
     circuit: Circuit, target: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> ChannelVerdict:
     """Exhaustively check that ``circuit`` implements ``target`` on its data qubits.
 
-    Every data-register basis state (ancillas in |0>) is walked through every
-    branch; each full history (visible plus hidden reset outcomes) is one Kraus
-    operator K_h over all inputs. The verdict passes iff each K_h is ~0 or
-    equals c_h * target, every branch leaves the ancillas clean (|0>, or the
-    recorded outcome for a measured-out wire), and the |c_h|^2 sum to 1. Each
-    visible outcome string gets one report: the sum of its histories'
-    probabilities, their worst deviation and the first one's phase.
+    Every data basis state (ancillas in |0>) runs through every branch in one
+    labeled pass; each full history (visible plus hidden reset outcomes) is one
+    Kraus operator K_h over all inputs. The verdict passes iff each K_h is ~0
+    or c_h * target, every branch leaves the ancillas clean (|0>, or the
+    outcome on a measured-out wire), and the |c_h|^2 sum to 1. Each visible
+    outcome string gets one report: its histories' summed probability, worst
+    deviation and the depth-first first one's phase.
     """
-    if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
-        raise ValueError(
-            f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
+    _require_tolerance(tolerance)
     data = sorted(circuit.data_qubits)
     dim_data = 1 << len(data)
     target = np.asarray(target, dtype=complex)
@@ -157,33 +123,60 @@ def check_implements(
     require_valid(circuit)
 
     n = circuit.qubit_count
-    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
-    measured_out = _measured_out(circuit)
-    # every input at once: input x rides in the index bits above the register
-    inputs: State = {
-        (x << n) | sum(((x >> j) & 1) << q for j, q in enumerate(data)): 1 + 0j
-        for x in range(dim_data)
-    }
-    pivot_flat = int(np.argmax(np.abs(target)))
-    pivot = target.flat[pivot_flat]
+    base = n + len(data)
+    # every input at once: input x rides in the label bits above the register
+    x = np.arange(dim_data, dtype=np.int64)
+    spread = (((x[:, None] >> np.arange(len(data))) & 1) << np.array(data, dtype=np.int64)).sum(1)
+    keys, amps, labels = labeled_pass(
+        circuit.ops, (x << n) | spread, np.ones(dim_data, dtype=complex), base)
 
-    # visible outcomes -> (|c|^2, phase, deviation) of each history, depth-first
+    # sorted by label, entries form runs of one (history, input) within runs of one history
+    order = np.argsort(keys, kind="stable")
+    keys, amps = keys[order], amps[order]
+    weights = amps.real ** 2 + amps.imag ** 2
+    new_pair, new_history = run_starts(keys >> n), run_starts(keys >> base)
+    pairs, starts = np.flatnonzero(new_pair), np.flatnonzero(new_history)
+    pair_total = np.add.reduceat(weights, pairs)
+    live_history = np.add.reduceat(weights, starts) >= PRUNE_THRESHOLD
+    history_of = np.cumsum(new_history) - 1
+    # pruned as in a walk from one input; keeps rounding residue out of the ratio
+    live = (pair_total >= PRUNE_THRESHOLD)[np.cumsum(new_pair) - 1] & live_history[history_of]
+    expected = 0  # ancillas end in |0>, or hold the outcome when their last op measured them
+    for q, i in {q: i for i, op in enumerate(circuit.ops) for q in op.qubits}.items():
+        if circuit.ops[i].bit is not None and q not in circuit.data_qubits:
+            expected |= (keys & (1 << labels[i])) >> (labels[i] - q)
+    inside = (keys & sum(1 << q for q in circuit.ancilla_qubits)) == expected
+    off = np.add.reduceat(np.where(inside, 0.0, weights), pairs)
+    ancilla_clean = not (off > tolerance ** 2 * pair_total)[live[pairs]].any()
+
+    # each history's Kraus entries K_h[row, col] inside the ancilla pattern
+    amps, basis, owner = amps[inside & live], keys[inside & live], history_of[inside & live]
+    row = np.searchsorted(spread, basis & sum(1 << q for q in data))
+    col = (basis >> n) & (dim_data - 1)
+    position = row * dim_data + col
+    pivot = int(np.argmax(np.abs(target)))
+    scalar = np.zeros(len(starts), dtype=complex)
+    scalar[owner[position == pivot]] = amps[position == pivot] / target.flat[pivot]
+    # max |K_h - c_h U| over the leaf's entries, then over the target's nonzeros it lacks
+    wanted = target[row, col]
+    largest, deviation = np.zeros((2, len(starts)))
+    np.maximum.at(largest, owner, np.abs(amps))
+    np.maximum.at(deviation, owner, np.abs(amps - scalar[owner] * wanted))
+    lacking = np.bincount(owner, wanted != 0, len(starts)) < np.count_nonzero(target)
+    for h in np.flatnonzero(lacking & (scalar != 0)):
+        missing = np.setdiff1d(np.flatnonzero(target), position[owner == h], assume_unique=True)
+        deviation[h] = max(deviation[h], abs(scalar[h]) * np.abs(target.flat[missing]).max())
+
+    # visible outcomes -> (|c|^2, phase, deviation) of each live history, depth-first
+    labels_of = (keys[starts] >> base).tolist()
+    measured = [labels[i] - base for i, op in enumerate(circuit.ops) if op.bit is not None]
+    scalar, largest, deviation = scalar.tolist(), largest.tolist(), deviation.tolist()
     groups: dict[tuple[int, ...], list[tuple[float, complex, float]]] = {}
-    ancilla_clean = True
-    for outcomes, _, leaf in walk_branches(circuit.ops, inputs):
-        base = sum(outcomes[m] << q for q, m in measured_out.items())
-        kraus, clean = _kraus_map(leaf, n, data, anc_mask, base, tolerance)
-        ancilla_clean &= clean
-        histories = groups.setdefault(outcomes, [])
-        largest = float(np.abs(kraus).max())
-        if largest <= tolerance:
-            histories.append((0.0, complex(1), largest))
-            continue
-        scalar = complex(kraus.flat[pivot_flat] / pivot)
-        deviation = float(np.abs(kraus - scalar * target).max())
-        phase = scalar / abs(scalar) if scalar else complex(1)
-        histories.append((abs(scalar) ** 2, phase, deviation))
-
+    for h in np.flatnonzero(live_history).tolist():
+        c = scalar[h]
+        groups.setdefault(tuple((labels_of[h] >> b) & 1 for b in measured), []).append(
+            (abs(c) ** 2, c / abs(c) if c else complex(1), deviation[h])
+            if largest[h] > tolerance else (0.0, complex(1), largest[h]))
     reports = tuple(
         BranchReport(outcomes, sum(h[0] for h in histories), histories[0][1],
                      max(h[2] for h in histories))

@@ -1,17 +1,30 @@
-"""Test-only differential oracle: the dense statevector kernel and branch walk.
+"""Test-only differential oracle: a dense statevector kernel, branch walk and verdict.
 
-This is the simulator the package shipped before its sparse branch engine,
-kept unchanged so the tests can compare the two: every op rewrites a dense
-2^q vector (or the 2^q x 2^q matrix in ``unitary_of``) through index masks,
-and MEASURE and a firing RESET project it. Like the old engine it emits the
-two outcomes of a hidden RESET as two records with the same visible
-outcomes. Nothing in ``src/`` imports it.
+This is the simulator the package shipped before its sparse engines, kept
+so the tests can compare them: every op rewrites a dense 2^q vector (or the
+2^q x 2^q matrix in ``unitary_of``) through index masks, and MEASURE and a
+firing RESET project it, one input at a time and one branch at a time. Like
+the old engine it emits the two outcomes of a hidden RESET as two records
+with the same visible outcomes. ``check_implements`` is a reference verdict
+that assembles each history's dense Kraus operator from those walks.
+Nothing in ``src/`` imports it.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from cnzsynth import BranchRecord, Circuit, Gate, Op, SimulationError, validate
+from cnzsynth import (
+    BranchRecord,
+    BranchReport,
+    ChannelVerdict,
+    Circuit,
+    Gate,
+    Op,
+    SimulationError,
+    validate,
+)
 
 #: Branches whose squared norm falls below this are not explored or emitted.
 PRUNE_THRESHOLD = 1e-12
@@ -135,10 +148,22 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
         if np.linalg.norm(off) > _INPUT_TOLERANCE:
             raise SimulationError("ancilla qubits must start in |0>")
 
-    records: list[BranchRecord] = []
+    return [BranchRecord(outs, _squared_norm(leaf), leaf / np.sqrt(_squared_norm(leaf)))
+            for outs, _, leaf in walk(circuit, state)]
+
+
+def walk(circuit: Circuit, state: np.ndarray) -> list[tuple[tuple, tuple, np.ndarray]]:
+    """Every leaf of a valid circuit's branch tree from ``state``, depth-first.
+
+    A leaf is (visible outcomes, hidden reset outcomes, unnormalized state);
+    each hidden outcome is an (op index, outcome) pair, so the visible and
+    hidden outcomes together give the leaf's path through the tree.
+    """
+    dim = state.shape[0]
+    leaves: list[tuple[tuple, tuple, np.ndarray]] = []
     ops = circuit.ops
 
-    def walk(i: int, st: np.ndarray, bits: dict[int, int], outs: tuple[int, ...]) -> None:
+    def step(i: int, st: np.ndarray, bits: dict[int, int], outs: tuple, hidden: tuple) -> None:
         while i < len(ops):
             op = ops[i]
             fires = op.condition is None or bits[op.condition[0]] == op.condition[1]
@@ -148,7 +173,7 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
                     proj = _project(st, q, m)
                     if _squared_norm(proj) < PRUNE_THRESHOLD:
                         continue
-                    walk(i + 1, proj, {**bits, op.bit: m}, outs + (m,))
+                    step(i + 1, proj, {**bits, op.bit: m}, outs + (m,), hidden)
                 return
             if op.gate is Gate.RESET:
                 if fires:
@@ -157,22 +182,21 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
                     kept = _project(st, q, 0)
                     flipped = np.zeros_like(st)
                     flipped[hi & ~(1 << q)] = st[hi]
-                    for proj in (kept, flipped):
+                    for m, proj in enumerate((kept, flipped)):
                         if _squared_norm(proj) < PRUNE_THRESHOLD:
                             continue
-                        walk(i + 1, proj, bits, outs)
+                        step(i + 1, proj, bits, outs, hidden + ((i, m),))
                     return
                 i += 1
                 continue
             if fires:
                 st = _apply_unitary(st, op)
             i += 1
-        p = _squared_norm(st)
-        if p >= PRUNE_THRESHOLD:
-            records.append(BranchRecord(outs, p, st / np.sqrt(p)))
+        if _squared_norm(st) >= PRUNE_THRESHOLD:
+            leaves.append((outs, hidden, st))
 
-    walk(0, state, {}, ())
-    return records
+    step(0, state, {}, (), ())
+    return leaves
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -190,3 +214,78 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for op in circuit.ops:
         u = _apply_unitary(u, op)
     return u
+
+
+@dataclass(frozen=True)
+class History:
+    """One history (visible and hidden outcomes) and its dense Kraus operator."""
+
+    outcomes: tuple[int, ...]
+    hidden: tuple[tuple[int, int], ...]
+    kraus: np.ndarray
+
+
+def check_implements(circuit: Circuit, target: np.ndarray, tolerance: float = 1e-9):
+    """Reference verdict: walk each data basis input alone and assemble every
+    history's dense K_h[row, x] from the leaves it reaches.
+
+    Returns (ChannelVerdict, histories in depth-first order). The verdict
+    rules are the package's: each K_h is ~0 or c_h * target, every (history,
+    input) branch keeps all but tolerance^2 of its weight inside the expected
+    ancilla pattern (|0>, or the recorded outcome on a measured-out wire), the
+    |c_h|^2 sum to 1, and each visible outcome string reports the sum of its
+    histories' probabilities, their worst deviation and the first one's phase.
+    """
+    n = circuit.qubit_count
+    data = sorted(circuit.data_qubits)
+    dim_data = 1 << len(data)
+    target = np.asarray(target, dtype=complex)
+    measurements = [i for i, op in enumerate(circuit.ops) if op.gate is Gate.MEASURE]
+    last = {q: i for i, op in enumerate(circuit.ops) for q in op.qubits}
+    measured_out = {q: measurements.index(i) for q, i in last.items()
+                    if q in circuit.ancilla_qubits and i in measurements}
+    anc_mask = sum(1 << q for q in circuit.ancilla_qubits)
+    index = np.arange(1 << n)
+
+    def spread(x: int) -> int:
+        return sum(((x >> j) & 1) << q for j, q in enumerate(data))
+
+    kraus: dict[tuple, np.ndarray] = {}
+    clean = True
+    for x in range(dim_data):
+        state = np.zeros(1 << n, dtype=complex)
+        state[spread(x)] = 1.0
+        for outcomes, hidden, leaf in walk(circuit, state):
+            pattern = sum(outcomes[m] << q for q, m in measured_out.items())
+            inside = (index & anc_mask) == pattern
+            if _squared_norm(leaf[~inside]) > tolerance ** 2 * _squared_norm(leaf):
+                clean = False
+            k = kraus.setdefault((outcomes, hidden), np.zeros((dim_data, dim_data), dtype=complex))
+            k[:, x] = [leaf[spread(r) | pattern] for r in range(dim_data)]
+
+    def path(key: tuple) -> tuple:  # every event outcome in op order: depth-first
+        outcomes, hidden = key
+        return tuple(sorted(list(zip(measurements, outcomes)) + list(hidden)))
+
+    pivot = int(np.argmax(np.abs(target)))
+    histories, groups = [], {}
+    for key in sorted(kraus, key=path):
+        k = kraus[key]
+        largest = float(np.abs(k).max())
+        scalar = complex(k.flat[pivot] / target.flat[pivot])
+        histories.append(History(key[0], key[1], k))
+        if largest <= tolerance:
+            evidence = (0.0, complex(1), largest)
+        else:
+            deviation = float(np.abs(k - scalar * target).max())
+            phase = scalar / abs(scalar) if scalar else complex(1)
+            evidence = (abs(scalar) ** 2, phase, deviation)
+        groups.setdefault(key[0], []).append(evidence)
+    reports = tuple(
+        BranchReport(outcomes, sum(e[0] for e in evidence), evidence[0][1],
+                     max(e[2] for e in evidence))
+        for outcomes, evidence in sorted(groups.items()))
+    total = sum(r.probability for r in reports)
+    passed = (clean and all(r.max_deviation <= tolerance for r in reports)
+              and abs(total - 1.0) <= tolerance)
+    return ChannelVerdict(passed, reports, clean, total), histories

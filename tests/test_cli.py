@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cnzsynth import cccz_6t, emit_text, parse_quirk_url, parse_text
+from cnzsynth import CircuitBuilder, cccz_6t, emit_text, parse_quirk_url, parse_text
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 
@@ -85,6 +85,20 @@ def test_verify_reference_url(capsys):
                           "--against", "cccz")
     assert code == 0
     assert json.loads(stdout)["passed"] is True
+
+
+def test_verify_rejects_circuit_wider_than_the_key(tmp_path, capsys):
+    # 22 qubits + 2 input label bits + 40 measurement and reset labels > 62
+    bld = CircuitBuilder(22, (0, 1))
+    for q in range(2, 22):
+        bld.measure(q)
+        bld.reset(q)
+    path = tmp_path / "wide.qct"
+    path.write_text(emit_text(bld.build()))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:1")
+    assert code == 2
+    assert stdout == ""
+    assert "62-bit" in stderr
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])

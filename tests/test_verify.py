@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cnzsynth import (
+    NON_CLIFFORD,
     Circuit,
     CircuitBuilder,
     CnZSpec,
     Gate,
     Method,
     Op,
+    SimulationError,
     and_compute,
     and_uncompute,
     cccz_6t,
@@ -168,6 +170,44 @@ def test_two_deleted_t_gates_fail_at_every_accepted_tolerance(tolerance):
     assert [circuit.ops[i].gate for i in (1, 3)] == [Gate.T, Gate.TDG]
     assert not check_implements(without_ops(circuit, 1, 3), oracle_cnz(3), tolerance).passed
     assert check_implements(circuit, oracle_cnz(3), tolerance).passed
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1.0, 1e-3])
+def test_equal_up_to_global_phase_rejects_meaningless_tolerance(tolerance):
+    # Z is not I up to phase, whatever the tolerance; inf used to say it was
+    with pytest.raises(ValueError, match="tolerance"):
+        equal_up_to_global_phase(np.eye(2), np.diag([1, -1]), tolerance)
+
+
+def measured_ancillas(qubit_count: int, measured: int) -> Circuit:
+    """Data qubits 0 and 1, then ``measured`` ancillas each measured and reset."""
+    bld = CircuitBuilder(qubit_count, (0, 1))
+    for q in range(2, 2 + measured):
+        bld.measure(q)
+        bld.reset(q)
+    return bld.build()
+
+
+def test_key_width_limit_is_62_bits():
+    # 22 register bits + 2 input label bits + 2 labels per measured ancilla
+    at_limit = check_implements(measured_ancillas(22, 19), np.eye(4))
+    assert at_limit.passed
+    assert [r.outcomes for r in at_limit.branch_reports] == [(0,) * 19]
+    with pytest.raises(SimulationError, match="62-bit"):
+        check_implements(measured_ancillas(22, 20), np.eye(4))
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("n", [7, 8])
+def test_ladders_verify_at_n7_and_n8(n, method):
+    circuit = synth_cnz(CnZSpec(n), method)
+    t_count = sum(op.gate in NON_CLIFFORD for op in circuit.ops)
+    assert t_count == (4 * n - 4 if method is Method.BASELINE else 4 * n - 6)
+    verdict = check_implements(circuit, oracle_cnz(n))
+    assert verdict.passed
+    assert verdict.ancilla_clean
+    measurements = sum(op.gate is Gate.MEASURE for op in circuit.ops)
+    assert len(verdict.branch_reports) == 2 ** measurements
 
 
 def test_equal_up_to_global_phase_exact():
