@@ -31,13 +31,10 @@ class Gate(Enum):
     MEASURE = "m"
     RESET = "reset"
 
-    @property
-    def arity(self) -> int:
-        return 2 if self in (Gate.CX, Gate.CZ) else 1
-
-    @property
-    def is_unitary(self) -> bool:
-        return self not in (Gate.MEASURE, Gate.RESET)
+    def __init__(self, mnemonic: str) -> None:
+        # plain per-member values: validate and the codecs read them per op
+        self.arity = 2 if mnemonic in ("cx", "cz") else 1
+        self.is_unitary = mnemonic not in ("m", "reset")
 
 
 #: T and T† are the only non-Clifford kinds in the alphabet.
@@ -120,31 +117,34 @@ def validate(circuit: Circuit) -> list[Violation]:
 
     written: dict[int, int] = {}  # bit -> writing op index
     measured_not_reset: set[int] = set()
+    qubit_count, bit_count = circuit.qubit_count, circuit.bit_count
+    measure, reset = Gate.MEASURE, Gate.RESET
     for i, op in enumerate(circuit.ops):
-        if len(op.qubits) != op.gate.arity:
-            out.append(Violation(i, f"{op.gate.value} expects {op.gate.arity} operand(s), got {len(op.qubits)}"))
+        gate, qubits = op.gate, op.qubits
+        if len(qubits) != gate.arity:
+            out.append(Violation(i, f"{gate.value} expects {gate.arity} operand(s), got {len(qubits)}"))
             continue
         bad_index = False
-        for q in op.qubits:
-            if not 0 <= q < circuit.qubit_count:
+        for q in qubits:
+            if not 0 <= q < qubit_count:
                 out.append(Violation(i, f"qubit {q} out of range"))
                 bad_index = True
         if bad_index:
             continue
-        if op.gate in (Gate.CX, Gate.CZ) and op.qubits[0] == op.qubits[1]:
+        if gate.arity == 2 and qubits[0] == qubits[1]:  # CX, CZ
             out.append(Violation(i, "identical operands"))
-        if op.gate is Gate.MEASURE:
+        if gate is measure:
             if op.condition is not None:
                 out.append(Violation(i, "classical condition on a measurement"))
             if op.bit is None:
                 out.append(Violation(i, "measurement without a destination bit"))
-            elif not 0 <= op.bit < circuit.bit_count:
+            elif not 0 <= op.bit < bit_count:
                 out.append(Violation(i, f"bit {op.bit} out of range"))
             elif op.bit in written:
                 out.append(Violation(i, f"bit {op.bit} already written at op {written[op.bit]}"))
             else:
                 written[op.bit] = i
-            measured_not_reset.add(op.qubits[0])
+            measured_not_reset.add(qubits[0])
         else:
             if op.bit is not None:
                 out.append(Violation(i, "destination bit on a non-measurement gate"))
@@ -152,12 +152,12 @@ def validate(circuit: Circuit) -> list[Violation]:
                 b, v = op.condition
                 if v not in (0, 1):
                     out.append(Violation(i, f"condition value {v} not in {{0,1}}"))
-                if not 0 <= b < circuit.bit_count:
+                if not 0 <= b < bit_count:
                     out.append(Violation(i, f"condition bit {b} out of range"))
                 elif b not in written:
                     out.append(Violation(i, f"condition on bit {b} precedes its write"))
-            if op.gate is Gate.RESET:
-                measured_not_reset.discard(op.qubits[0])
+            if gate is reset:
+                measured_not_reset.discard(qubits[0])
     for q in sorted(measured_not_reset):
         if q in circuit.data_qubits:
             out.append(Violation(None, f"data qubit {q} is measured and never reset"))

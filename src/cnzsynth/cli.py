@@ -7,6 +7,7 @@ byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -125,7 +126,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="cnzsynth",
         description="Synthesize and verify feedback-based multi-controlled-Z circuits.",
@@ -168,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CodecError, CircuitError, SimulationError, ValueError, OSError) as exc:
+    except (CodecError, CircuitError, SimulationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,8 +38,6 @@ _INPUT_TOLERANCE = 1e-9
 #: Rounding residue of a cancellation in a splitting gate; dropped.
 _NEGLIGIBLE = 1e-15
 
-_EVENTS = (Gate.MEASURE, Gate.RESET)
-
 #: Bits one int64 key may use for the register, input and event labels.
 MAX_KEY_BITS = 62
 
@@ -96,7 +94,7 @@ def require_valid(circuit: Circuit) -> None:
 def _event_bits(ops: tuple[Op, ...], base: int) -> dict[int, int]:
     """Label bit of each MEASURE and RESET by op index: the first event takes the
     highest bit, the last takes bit ``base``. Keys are held to MAX_KEY_BITS."""
-    events = [i for i, op in enumerate(ops) if op.gate in _EVENTS]
+    events = [i for i, op in enumerate(ops) if not op.gate.is_unitary]
     if base + len(events) > MAX_KEY_BITS:
         raise SimulationError(
             f"{base} register and input label bits plus {len(events)} measurement and "

@@ -110,7 +110,8 @@ def check_implements(
     or c_h * target, every branch leaves the ancillas clean (|0>, or the
     outcome on a measured-out wire), and the |c_h|^2 sum to 1. Each visible
     outcome string gets one report: its histories' summed probability, worst
-    deviation and the depth-first first one's phase.
+    deviation and the depth-first first one's phase. A target whose entries
+    are all within ``tolerance`` of 0 raises ``ValueError``.
     """
     _require_tolerance(tolerance)
     data = sorted(circuit.data_qubits)
@@ -120,6 +121,9 @@ def check_implements(
         raise ValueError(
             f"target dimension {target.shape} does not match "
             f"{len(data)} data qubits (expected {(dim_data, dim_data)})")
+    pivot = int(np.argmax(np.abs(target)))
+    if abs(target.flat[pivot]) <= tolerance:
+        raise ValueError("target operator is ~0")
     require_valid(circuit)
 
     n = circuit.qubit_count
@@ -154,7 +158,6 @@ def check_implements(
     row = np.searchsorted(spread, basis & sum(1 << q for q in data))
     col = (basis >> n) & (dim_data - 1)
     position = row * dim_data + col
-    pivot = int(np.argmax(np.abs(target)))
     scalar = np.zeros(len(starts), dtype=complex)
     scalar[owner[position == pivot]] = amps[position == pivot] / target.flat[pivot]
     # max |K_h - c_h U| over the leaf's entries, then over the target's nonzeros it lacks

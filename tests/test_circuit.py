@@ -21,6 +21,15 @@ def empty(qubit_count: int = 0, data=()) -> Circuit:
     return Circuit(qubit_count, 0, (), frozenset(data))
 
 
+def test_gate_arity_and_unitarity_table():
+    table = {
+        "h": (1, True), "x": (1, True), "z": (1, True), "s": (1, True), "sdg": (1, True),
+        "t": (1, True), "tdg": (1, True), "sx": (1, True), "sxdg": (1, True),
+        "cx": (2, True), "cz": (2, True), "m": (1, False), "reset": (1, False),
+    }
+    assert {g.value: (g.arity, g.is_unitary) for g in Gate} == table
+
+
 def test_validate_empty_circuit():
     assert validate(empty()) == []
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from cnzsynth import CircuitBuilder, cccz_6t, emit_text, parse_quirk_url, parse_text
+from cnzsynth import (
+    Circuit, CircuitBuilder, Gate, cccz_6t, emit_text, parse_quirk_url, parse_text)
+from cnzsynth import cli
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 
@@ -99,6 +101,19 @@ def test_verify_rejects_circuit_wider_than_the_key(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "62-bit" in stderr
+
+
+def test_verify_too_wide_for_a_dense_target_exits_2(tmp_path, capsys, monkeypatch):
+    # what numpy raises when it cannot hold the 2^30 x 2^30 target; nothing is allocated
+    def refuse(n):
+        raise MemoryError(f"Unable to allocate the {2 ** (n + 1)}-square target")
+    monkeypatch.setattr(cli, "oracle_cnz", refuse)
+    path = tmp_path / "wide.qct"
+    path.write_text(emit_text(Circuit(30, 0, (), frozenset(range(30)))))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:29")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: Unable to allocate")
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])
@@ -208,3 +223,37 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
                        "--method", "baseline", "--out", str(out_b))
     assert json_a == json_b
     assert out_a.read_text() == out_b.read_text()
+
+
+def test_repeated_calls_in_one_process_are_identical(tmp_path, capsys):
+    # main shares one parser between calls; no call may leave state for the next
+    cccz, broken, out = tmp_path / "cccz.qct", tmp_path / "broken.qct", tmp_path / "s.qct"
+    circuit = cccz_6t()
+    first_t = next(i for i, op in enumerate(circuit.ops) if op.gate is Gate.T)
+    cccz.write_text(emit_text(circuit))
+    broken.write_text(emit_text(Circuit(circuit.qubit_count, circuit.bit_count,
+                                        circuit.ops[:first_t] + circuit.ops[first_t + 1:],
+                                        circuit.data_qubits)))
+    sequence = [
+        ["verify", "--in", str(cccz), "--against", "cccz"],
+        ["verify", "--in", str(cccz), "--against", "cccz", "--bogus"],
+        ["verify", "--in", str(broken), "--against", "cccz"],
+        ["synth", "--gate", "cnz", "-n", "3", "--out", str(out)],
+        ["--help"],
+    ]
+
+    def once():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    first = once()
+    assert [code for code, _, _ in first] == [0, 2, 1, 0, 0]
+    assert "unrecognized arguments: --bogus" in first[1][2]
+    assert once() == first

@@ -1,6 +1,8 @@
 """Tests for the channel checker and its brute-force oracles."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ def test_check_implements_cccz_two_outcome_groups():
 def test_check_implements_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         check_implements(cccz_6t(), np.eye(8))
+
+
+@pytest.mark.parametrize("target", [np.zeros((16, 16)), 1e-10 * np.eye(16)])
+def test_check_implements_rejects_a_zero_target(target):
+    # the ~0 rule of equal_up_to_global_phase: no pivot to fit a phase from
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="~0"):
+            check_implements(cccz_6t(), target)
 
 
 def test_check_implements_flags_entangled_ancilla():
