@@ -13,7 +13,6 @@ from .circuit import (
     Op,
     Violation,
     compose,
-    inverse_unitary_segment,
     remap_qubits,
     validate,
 )
@@ -28,10 +27,7 @@ from .codec import (
 from .resources import ComparisonRow, ResourceCount, compare, count
 from .simulator import (
     BranchRecord,
-    PRUNE_THRESHOLD,
     SimulationError,
-    apply,
-    gate_matrix,
     run_branches,
     unitary_of,
 )
@@ -42,7 +38,6 @@ from .verify import (
     DEFAULT_TOLERANCE,
     check_implements,
     check_phase_identity,
-    equal_up_to_global_phase,
     oracle_cnz,
 )
 
@@ -61,14 +56,12 @@ __all__ = [
     "Method",
     "NON_CLIFFORD",
     "Op",
-    "PRUNE_THRESHOLD",
     "QUIRK_URL_PREFIX",
     "ResourceCount",
     "SimulationError",
     "Violation",
     "and_compute",
     "and_uncompute",
-    "apply",
     "cccz_6t",
     "check_implements",
     "check_phase_identity",
@@ -76,10 +69,7 @@ __all__ = [
     "compose",
     "count",
     "emit_text",
-    "equal_up_to_global_phase",
     "export_quirk_url",
-    "gate_matrix",
-    "inverse_unitary_segment",
     "oracle_cnz",
     "parse_quirk_url",
     "parse_text",

@@ -40,18 +40,9 @@ class Gate(Enum):
 #: T and T† are the only non-Clifford kinds in the alphabet.
 NON_CLIFFORD = frozenset({Gate.T, Gate.TDG})
 
-_ADJOINT = {
-    Gate.T: Gate.TDG,
-    Gate.TDG: Gate.T,
-    Gate.S: Gate.SDG,
-    Gate.SDG: Gate.S,
-    Gate.SX: Gate.SXDG,
-    Gate.SXDG: Gate.SX,
-}
-
 
 class CircuitError(ValueError):
-    """Raised when a circuit-level contract is broken (compose, inverse, ...)."""
+    """Raised when a circuit-level contract is broken (compose, remap, ...)."""
 
 
 @dataclass(frozen=True)
@@ -190,20 +181,6 @@ def compose(first: Circuit, second: Circuit) -> Circuit:
         ops=first.ops + shifted,
         data_qubits=first.data_qubits,
     )
-
-
-def inverse_unitary_segment(circuit: Circuit) -> Circuit:
-    """Op-reversed, gate-inverted circuit (T<->T†, S<->S†, √X<->√X†).
-
-    Rejects circuits containing measurement, reset, or classical conditions.
-    """
-    for i, op in enumerate(circuit.ops):
-        if not op.gate.is_unitary:
-            raise CircuitError(f"op {i}: cannot invert {op.gate.value}")
-        if op.condition is not None:
-            raise CircuitError(f"op {i}: cannot invert a classically conditioned gate")
-    inverted = tuple(Op(_ADJOINT.get(op.gate, op.gate), op.qubits) for op in reversed(circuit.ops))
-    return Circuit(circuit.qubit_count, circuit.bit_count, inverted, circuit.data_qubits)
 
 
 def remap_qubits(circuit: Circuit, mapping: dict[int, int]) -> Circuit:

@@ -17,7 +17,7 @@ from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, par
 from .resources import compare, count
 from .simulator import SimulationError
 from .synthesis import CnZSpec, Method, cccz_6t, synth_cnz
-from .verify import check_implements, oracle_cnz
+from .verify import DEFAULT_TOLERANCE, check_implements, oracle_cnz
 
 
 def _load_circuit(source: str) -> Circuit:
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True,
                    help="circuit text path or Quirk URL")
     p.add_argument("--against", required=True, help="cccz or cnz:N")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="print resource counts as JSON")

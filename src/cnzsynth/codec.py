@@ -274,11 +274,14 @@ def parse_quirk_url(url: str) -> Circuit:
         raise CodecError(f"malformed circuit JSON: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("cols", []), list):
         raise CodecError("malformed circuit JSON: expected an object with a 'cols' list")
+    custom_gates = payload.get("gates", [])
+    if not isinstance(custom_gates, list):
+        raise CodecError("malformed circuit JSON: 'gates' is not a list")
 
     identity_ids: set[str] = set()
     custom_ids: set[str] = set()
-    for entry in payload.get("gates", []):
-        if not isinstance(entry, dict) or "id" not in entry:
+    for entry in custom_gates:
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
             raise CodecError("malformed circuit JSON: bad custom gate entry")
         custom_ids.add(entry["id"])
         if _identity_matrix_string(str(entry.get("matrix", ""))):

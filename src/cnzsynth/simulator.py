@@ -73,16 +73,6 @@ class BranchRecord:
     final_state: np.ndarray
 
 
-def gate_matrix(kind: Gate) -> np.ndarray:
-    """Exact matrix for a unitary gate kind (2x2, or 4x4 for CX/CZ).
-
-    For two-qubit kinds the first operand is the least-significant bit of
-    the sub-index, matching the full-register convention.
-    """
-    qubits = tuple(range(kind.arity))
-    return unitary_of(Circuit(kind.arity, 0, (Op(kind, qubits),), frozenset(qubits)))
-
-
 def require_valid(circuit: Circuit) -> None:
     """Raise SimulationError unless ``circuit`` is executable."""
     violations = validate(circuit)
@@ -165,21 +155,6 @@ def _dense(keys: np.ndarray, amps: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros(dim, dtype=complex)
     out[keys] = amps
     return out
-
-
-def apply(state: np.ndarray, op: Op) -> np.ndarray:
-    """Apply one unitary gate instance to a statevector, returning a new array."""
-    if not op.gate.is_unitary:
-        raise SimulationError(f"cannot apply {op.gate.value} as a unitary")
-    state = np.asarray(state, dtype=complex)
-    dim = state.shape[0]
-    qubit_count = dim.bit_length() - 1
-    if dim != 1 << qubit_count:
-        raise SimulationError(f"state length {dim} is not a power of two")
-    require_valid(Circuit(qubit_count, 0, (op,), frozenset(range(qubit_count))))
-    keys = np.flatnonzero(state)
-    keys, amps, _ = labeled_pass((op,), keys, state[keys], qubit_count)
-    return _dense(keys, amps, dim)
 
 
 def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:

@@ -59,31 +59,6 @@ def oracle_cnz(n: int) -> np.ndarray:
     return np.diag(diag)
 
 
-def _require_tolerance(tolerance: float) -> None:
-    if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
-        raise ValueError(
-            f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
-
-
-def equal_up_to_global_phase(
-    a: np.ndarray, b: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[bool, complex]:
-    """Test max-norm equality of A and phase*B, with phase fitted from B's largest entry."""
-    _require_tolerance(tolerance)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    flat = int(np.argmax(np.abs(b)))
-    pivot = b.flat[flat]
-    if abs(pivot) <= tolerance:
-        if np.abs(a).max() <= tolerance:
-            return True, complex(1)
-        raise ValueError("reference operator is ~0 but candidate is not")
-    phase = complex(a.flat[flat] / pivot)
-    return bool(np.abs(a - phase * b).max() <= tolerance), phase
-
-
 def check_phase_identity() -> bool:
     """Exhaustively confirm i^(ab xor cd) = i^ab * i^cd * (-1)^abcd over {0,1}^4.
 
@@ -113,7 +88,9 @@ def check_implements(
     deviation and the depth-first first one's phase. A target whose entries
     are all within ``tolerance`` of 0 raises ``ValueError``.
     """
-    _require_tolerance(tolerance)
+    if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
+        raise ValueError(
+            f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
     data = sorted(circuit.data_qubits)
     dim_data = 1 << len(data)
     target = np.asarray(target, dtype=complex)

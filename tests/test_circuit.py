@@ -1,4 +1,4 @@
-"""Tests for the circuit IR: validation, composition, inversion."""
+"""Tests for the circuit IR: validation, composition, remapping."""
 from __future__ import annotations
 
 import pytest
@@ -11,7 +11,6 @@ from cnzsynth import (
     Op,
     cccz_6t,
     compose,
-    inverse_unitary_segment,
     remap_qubits,
     validate,
 )
@@ -128,45 +127,6 @@ def test_compose_is_associative():
     left = compose(compose(a, a), a)
     right = compose(a, compose(a, a))
     assert left == right
-
-
-def test_inverse_swaps_adjoint_pairs():
-    bld = CircuitBuilder(1, (0,))
-    bld.t(0)
-    inv = inverse_unitary_segment(bld.build())
-    assert [op.gate for op in inv.ops] == [Gate.TDG]
-
-
-def test_inverse_reverses_self_inverse_gates():
-    bld = CircuitBuilder(2, (0, 1))
-    bld.h(0)
-    bld.cx(0, 1)
-    inv = inverse_unitary_segment(bld.build())
-    assert [(op.gate, op.qubits) for op in inv.ops] == [
-        (Gate.CX, (0, 1)),
-        (Gate.H, (0,)),
-    ]
-
-
-def test_inverse_preserves_t_count():
-    bld = CircuitBuilder(2, (0, 1))
-    bld.t(0)
-    bld.tdg(1)
-    bld.sx(0)
-    bld.cz(0, 1)
-    circuit = bld.build()
-    inv = inverse_unitary_segment(circuit)
-    t_of = lambda c: sum(op.gate in (Gate.T, Gate.TDG) for op in c.ops)
-    assert t_of(inv) == t_of(circuit) == 2
-
-
-def test_inverse_rejects_measurement_and_conditions():
-    with pytest.raises(CircuitError, match="cannot invert m"):
-        inverse_unitary_segment(
-            Circuit(1, 1, (Op(Gate.MEASURE, (0,), 0),), frozenset()))
-    with pytest.raises(CircuitError, match="conditioned"):
-        inverse_unitary_segment(
-            Circuit(1, 1, (Op(Gate.Z, (0,), None, (0, 1)),), frozenset({0})))
 
 
 def test_remap_qubits_permutes_operands_and_designation():

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from cnzsynth import (
-    Circuit, CircuitBuilder, Gate, cccz_6t, emit_text, parse_quirk_url, parse_text)
+    DEFAULT_TOLERANCE, Circuit, CircuitBuilder, Gate, cccz_6t, emit_text, parse_quirk_url,
+    parse_text)
 from cnzsynth import cli
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
@@ -89,6 +90,14 @@ def test_verify_reference_url(capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+def test_verify_rejects_malformed_quirk_json(capsys):
+    url = 'https://algassert.com/quirk#circuit={"cols":[],"gates":5}'
+    code, stdout, stderr = run(capsys, "verify", "--in", url, "--against", "cccz")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: malformed circuit JSON")
+
+
 def test_verify_rejects_circuit_wider_than_the_key(tmp_path, capsys):
     # 22 qubits + 2 input label bits + 40 measurement and reset labels > 62
     bld = CircuitBuilder(22, (0, 1))
@@ -114,6 +123,11 @@ def test_verify_too_wide_for_a_dense_target_exits_2(tmp_path, capsys, monkeypatc
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: Unable to allocate")
+
+
+def test_verify_tolerance_defaults_to_the_library_default():
+    args = cli.build_parser().parse_args(["verify", "--in", "c.qct", "--against", "cccz"])
+    assert args.tolerance == DEFAULT_TOLERANCE
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])

@@ -217,8 +217,10 @@ def test_parse_quirk_rejects_unknown_gate():
 
 
 def test_parse_quirk_rejects_malformed_json():
-    with pytest.raises(CodecError, match="malformed"):
-        parse_quirk_url(QUIRK_URL_PREFIX + "%7Bnope")
+    for payload in ("%7Bnope", urllib.parse.quote('{"cols":[],"gates":5}', safe=""),
+                    urllib.parse.quote('{"gates":[{"id":[1]}]}', safe="")):
+        with pytest.raises(CodecError, match="malformed circuit JSON"):
+            parse_quirk_url(QUIRK_URL_PREFIX + payload)
 
 
 def test_parse_quirk_rejects_multi_controlled_z():

@@ -1,6 +1,8 @@
 """Tests for gate matrices, state evolution, and measurement branching."""
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,7 @@ from cnzsynth import (
     Gate,
     Op,
     SimulationError,
-    apply,
     cccz_6t,
-    gate_matrix,
     run_branches,
     unitary_of,
 )
@@ -28,74 +28,61 @@ def basis(qubit_count: int, index: int) -> np.ndarray:
     return state
 
 
+def one_op(gate: Gate, qubits: tuple[int, ...], qubit_count: int) -> Circuit:
+    return Circuit(qubit_count, 0, (Op(gate, qubits),), frozenset(range(qubit_count)))
+
+
+def matrix(gate: Gate, qubits: tuple[int, ...] | None = None, qubit_count: int | None = None):
+    """Unitary of ``gate`` alone, by default on its own one or two wires."""
+    qubits = tuple(range(gate.arity)) if qubits is None else qubits
+    return unitary_of(one_op(gate, qubits, qubit_count or gate.arity))
+
+
 @pytest.mark.parametrize("gate", UNITARY_GATES)
 def test_gate_matrices_are_unitary(gate):
-    u = gate_matrix(gate)
-    assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-12
+    for placement in permutations(range(3), gate.arity):
+        u = matrix(gate, placement, 3)
+        assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
 
 def test_t_squared_is_s():
-    t = gate_matrix(Gate.T)
-    assert np.abs(t @ t - gate_matrix(Gate.S)).max() < 1e-12
-    state = apply(apply(basis(1, 1), Op(Gate.T, (0,))), Op(Gate.T, (0,)))
-    assert abs(state[1] - 1j) < 1e-12
+    t = matrix(Gate.T)
+    assert np.abs(t @ t - matrix(Gate.S)).max() < 1e-12
+    assert abs((t @ t)[1, 1] - 1j) < 1e-12
 
 
 def test_sqrt_x_dagger_squared_is_x():
-    sxdg = gate_matrix(Gate.SXDG)
-    assert np.abs(sxdg @ sxdg - gate_matrix(Gate.X)).max() < 1e-12
+    sxdg = matrix(Gate.SXDG)
+    assert np.abs(sxdg @ sxdg - matrix(Gate.X)).max() < 1e-12
 
 
 def test_sqrt_x_convention_matches_h_conjugation():
-    h, s, sdg = gate_matrix(Gate.H), gate_matrix(Gate.S), gate_matrix(Gate.SDG)
-    assert np.abs(gate_matrix(Gate.SX) - h @ s @ h).max() < 1e-12
-    assert np.abs(gate_matrix(Gate.SXDG) - h @ sdg @ h).max() < 1e-12
+    h, s, sdg = matrix(Gate.H), matrix(Gate.S), matrix(Gate.SDG)
+    assert np.abs(matrix(Gate.SX) - h @ s @ h).max() < 1e-12
+    assert np.abs(matrix(Gate.SXDG) - h @ sdg @ h).max() < 1e-12
 
 
 def test_h_is_self_inverse():
-    h = gate_matrix(Gate.H)
+    h = matrix(Gate.H)
     assert np.abs(h @ h - np.eye(2)).max() < 1e-12
 
 
-def test_gate_matrix_rejects_measure_and_reset():
-    with pytest.raises(SimulationError):
-        gate_matrix(Gate.MEASURE)
-    with pytest.raises(SimulationError):
-        gate_matrix(Gate.RESET)
-
-
 def test_apply_hadamard_on_qubit_zero():
-    state = apply(basis(4, 0), Op(Gate.H, (0,)))
+    state = matrix(Gate.H, (0,), 4) @ basis(4, 0)
     expected = np.zeros(16, dtype=complex)
     expected[0] = expected[1] = 1 / np.sqrt(2)  # qubit 0 is the low bit
     assert np.abs(state - expected).max() < 1e-12
 
 
 def test_apply_cz_flips_sign_of_ones():
-    state = apply(basis(2, 3), Op(Gate.CZ, (0, 1)))
+    state = matrix(Gate.CZ) @ basis(2, 3)
     assert abs(state[3] + 1) < 1e-12
 
 
 def test_apply_cx_convention_first_operand_controls():
-    state = apply(basis(2, 1), Op(Gate.CX, (0, 1)))  # control q0=1 flips q1
-    assert abs(state[3] - 1) < 1e-12
-    state = apply(basis(2, 2), Op(Gate.CX, (0, 1)))  # control q0=0 does nothing
-    assert abs(state[2] - 1) < 1e-12
-
-
-def test_apply_matches_gate_matrix_on_two_qubits():
-    for gate in (Gate.CX, Gate.CZ):
-        u = np.eye(4, dtype=complex)
-        for col in range(4):
-            u[:, col] = apply(basis(2, col), Op(gate, (0, 1)))
-        assert np.abs(u - gate_matrix(gate)).max() < 1e-12
-
-
-def test_apply_rejects_out_of_range_and_measure():
-    with pytest.raises(SimulationError):
-        apply(basis(1, 0), Op(Gate.H, (1,)))
-    with pytest.raises(SimulationError):
-        apply(basis(1, 0), Op(Gate.MEASURE, (0,), 0))
+    cx = matrix(Gate.CX)
+    assert abs((cx @ basis(2, 1))[3] - 1) < 1e-12  # control q0=1 flips q1
+    assert abs((cx @ basis(2, 2))[2] - 1) < 1e-12  # control q0=0 does nothing
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,8 +95,8 @@ def test_apply_preserves_norm(gate, seed):
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
     state /= np.linalg.norm(state)
     qubits = (0,) if gate.arity == 1 else (0, 2)
-    out = apply(state, Op(gate, qubits))
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+    [branch] = run_branches(one_op(gate, qubits, 3), state)
+    assert abs(branch.probability - 1.0) < 1e-9
 
 
 def test_run_branches_deterministic_measurement():
@@ -211,3 +198,5 @@ def test_unitary_of_inverse_pair():
 def test_unitary_of_rejects_measurement():
     with pytest.raises(SimulationError):
         unitary_of(Circuit(1, 1, (Op(Gate.MEASURE, (0,), 0),), frozenset()))
+    with pytest.raises(SimulationError):
+        unitary_of(Circuit(1, 0, (Op(Gate.RESET, (0,)),), frozenset()))
