@@ -198,5 +198,13 @@ def test_unitary_of_inverse_pair():
 def test_unitary_of_rejects_measurement():
     with pytest.raises(SimulationError):
         unitary_of(Circuit(1, 1, (Op(Gate.MEASURE, (0,), 0),), frozenset()))
+
+
+def test_gate_matrix_rejects_measure_and_reset():
+    # The matrix of a lone gate is the unitary of its one-op circuit; the
+    # non-unitary gates have none.
+    assert {g for g in Gate if not g.is_unitary} == {Gate.MEASURE, Gate.RESET}
+    with pytest.raises(SimulationError):
+        unitary_of(Circuit(1, 1, (Op(Gate.MEASURE, (0,), 0),), frozenset()))
     with pytest.raises(SimulationError):
         unitary_of(Circuit(1, 0, (Op(Gate.RESET, (0,)),), frozenset()))
