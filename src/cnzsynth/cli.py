@@ -12,12 +12,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import Circuit, CircuitError, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import compare, count
 from .simulator import SimulationError
 from .synthesis import CnZSpec, Method, cccz_6t, synth_cnz
-from .verify import DEFAULT_TOLERANCE, check_implements, oracle_cnz
+from .verify import check_implements, oracle_cnz
 
 
 def _load_circuit(source: str) -> Circuit:
@@ -57,24 +59,29 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_target(label: str) -> tuple[int, str]:
-    if label == "cccz":
-        return 3, "cccz"
-    if label.startswith("cnz:"):
-        tail = label.split(":", 1)[1]
-        if tail.isdigit() and int(tail) >= 1:
-            return int(tail), label
-    raise CodecError(f"unknown verification target {label!r} (expected cccz or cnz:N)")
+def _parse_target(label: str) -> tuple[int, bool]:
+    """Control count n and whether the target is C^nX rather than C^nZ."""
+    kind, _, tail = label.partition(":")
+    if label in ("cccz", "cccx"):
+        return 3, label == "cccx"
+    if kind in ("cnz", "cnx") and tail.isascii() and tail.isdigit() and int(tail) >= 1:
+        return int(tail), kind == "cnx"
+    raise CodecError(
+        f"unknown verification target {label!r} (expected cccz, cccx, cnz:N or cnx:N)")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.input)
-    n, label = _parse_target(args.against)
+    n, x_target = _parse_target(args.against)
     if len(circuit.data_qubits) != n + 1:
         raise CodecError(
-            f"target {label} acts on {n + 1} qubits but the circuit has "
+            f"target {args.against} acts on {n + 1} qubits but the circuit has "
             f"{len(circuit.data_qubits)} data qubits")
-    verdict = check_implements(circuit, oracle_cnz(n), args.tolerance)
+    target = oracle_cnz(n)
+    if x_target:  # (H ⊗ I) C^nZ (H ⊗ I), H on the top data qubit: X where every control holds 1
+        ones = [(1 << n) - 1, (2 << n) - 1]
+        target[np.ix_(ones, ones)] = [[0, 1], [1, 0]]
+    verdict = check_implements(circuit, target)
     for report in verdict.branch_reports:
         outcomes = "".join(str(b) for b in report.outcomes)
         print(
@@ -147,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit against a target gate")
     p.add_argument("--in", dest="input", required=True,
                    help="circuit text path or Quirk URL")
-    p.add_argument("--against", required=True, help="cccz or cnz:N")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--against", required=True, help="cccz, cccx, cnz:N or cnx:N")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="print resource counts as JSON")

@@ -61,8 +61,8 @@ _GATE_BY_QUIRK_NAME = {name: gate for gate, name in _QUIRK_NAME.items()}
 _CONTROL = "•"       # • fires on 1
 _ANTI_CONTROL = "◦"  # ◦ fires on 0
 
-_CONDITION_RE = re.compile(r"^b(\d+)==([01])$")
-_BIT_RE = re.compile(r"^b(\d+)$")
+_CONDITION_RE = re.compile(r"^b([0-9]+)==([01])$")
+_BIT_RE = re.compile(r"^b([0-9]+)$")
 
 
 class CodecError(ValueError):
@@ -102,7 +102,7 @@ def emit_text(circuit: Circuit) -> str:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise CodecError(f"line {lineno}: expected {what}, got {token!r}")
     return int(token)
 
@@ -247,10 +247,17 @@ def _identity_matrix_string(text: str) -> bool:
     return re.sub(r"\s+", "", text) == "{{1,0},{0,1}}"
 
 
+def _is_empty_wire(entry) -> bool:
+    """Quirk marks an empty wire with the number 1; JSON true and 1.0 are malformed."""
+    if entry == 1 and type(entry) is not int:
+        raise CodecError(f"malformed circuit JSON: column entry {json.dumps(entry)} is not 1")
+    return entry == 1
+
+
 def _is_marker_column(col: list, identity_ids: set[str]) -> bool:
     has_marker = False
     for entry in col:
-        if entry == 1:
+        if _is_empty_wire(entry):
             continue
         if isinstance(entry, str) and entry in identity_ids:
             has_marker = True
@@ -307,7 +314,7 @@ def parse_quirk_url(url: str) -> Circuit:
         gates: list[tuple[int, str]] = []
         meas: list[int] = []
         for wire, entry in enumerate(col):
-            if entry == 1:
+            if _is_empty_wire(entry):
                 continue
             if not isinstance(entry, str):
                 raise CodecError(f"unsupported column entry {entry!r}")

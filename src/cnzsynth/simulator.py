@@ -10,7 +10,9 @@ own label bit, so each branch is one label class and every op runs once over
 all of them. Events take label bits in op order from the top down, so
 ascending label order is depth-first order, outcome 0 before 1. A classical
 condition masks on its measurement's label bit. One key holds at most
-MAX_KEY_BITS bits; a wider circuit raises SimulationError.
+MAX_KEY_BITS bits; a wider circuit raises SimulationError. ``histories`` is
+the only reader of this key layout: ``run_branches``, ``unitary_of`` and the
+verifier all read its table of (history, input, basis, amplitude) entries.
 
 Conventions, pinned for the codec and verifier:
   - qubit 0 is the least-significant bit of the basis-state index;
@@ -151,10 +153,36 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
     return keys, amps, labels
 
 
-def _dense(keys: np.ndarray, amps: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=complex)
-    out[keys] = amps
-    return out
+def basis_inputs(wires) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``histories`` inputs for every basis state of ``wires``, the other wires
+    |0>: input x, its register index (wire wires[j] holds bit j of x) and 1."""
+    x = np.arange(1 << len(wires), dtype=np.int64)
+    spread = (((x[:, None] >> np.arange(len(wires))) & 1) << np.array(wires, dtype=np.int64)).sum(1)
+    return x, spread, np.ones(len(x), dtype=complex)
+
+
+def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.ndarray):
+    """Validate ``circuit``, run it once over entries (input label, register index,
+    amplitude) and return per-entry (history, input, basis, amplitude) arrays sorted
+    in that order, with each history's visible outcomes in measurement order. A
+    history is one full run of events, hidden reset outcomes included; those of
+    squared norm below PRUNE_THRESHOLD are dropped, the rest numbered 0..H-1 depth-first."""
+    require_valid(circuit)
+    n = circuit.qubit_count
+    width = n + int(inputs.max(initial=0)).bit_length()
+    keys, amps, labels = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width)
+    order = np.argsort(keys, kind="stable")
+    keys, amps = keys[order], amps[order]
+    new = run_starts(keys >> width)
+    starts = np.flatnonzero(new)
+    live = np.add.reduceat(amps.real ** 2 + amps.imag ** 2, starts) >= PRUNE_THRESHOLD
+    measured = np.array([labels[i] for i, op in enumerate(circuit.ops) if op.bit is not None], np.int64)
+    outcomes = list(map(tuple, ((keys[starts[live], None] >> measured) & 1).tolist()))
+    history = np.cumsum(new) - 1
+    if len(outcomes) < len(starts):  # some history was pruned
+        keep = live[history]
+        keys, amps, history = keys[keep], amps[keep], (np.cumsum(live) - 1)[history[keep]]
+    return history, (keys >> n) & ((1 << (width - n)) - 1), keys & ((1 << n) - 1), amps, outcomes
 
 
 def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:
@@ -167,7 +195,6 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     records with the same ``outcomes``. Ancilla qubits of the input must be
     in |0>.
     """
-    require_valid(circuit)
     n = circuit.qubit_count
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
@@ -179,20 +206,12 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     if weights[np.arange(1 << n) & anc_mask != 0].sum() > _INPUT_TOLERANCE ** 2:
         raise SimulationError("ancilla qubits must start in |0>")
     keys = np.flatnonzero(dense)
-    keys, amps, labels = labeled_pass(circuit.ops, keys, dense[keys], n)
-    order = np.argsort(keys, kind="stable")
-    keys, amps = keys[order], amps[order]
-    measured = [labels[i] for i, op in enumerate(circuit.ops) if op.bit is not None]
-    starts = np.flatnonzero(run_starts(keys >> n))
-    records = []
-    for start, stop in zip(starts, [*starts[1:], len(keys)]):
-        leaf = amps[start:stop]
-        p = float(np.vdot(leaf, leaf).real)
-        if p >= PRUNE_THRESHOLD:
-            outcomes = tuple(int(keys[start] >> b) & 1 for b in measured)
-            records.append(BranchRecord(
-                outcomes, p, _dense(keys[start:stop] & ((1 << n) - 1), leaf / np.sqrt(p), 1 << n)))
-    return records
+    history, _, basis, amps, outcomes = histories(circuit, np.zeros_like(keys), keys, dense[keys])
+    states = np.zeros((len(outcomes), 1 << n), dtype=complex)
+    states[history, basis] = amps
+    leaves = np.split(amps, np.flatnonzero(run_starts(history))[1:])
+    norms = [float(np.vdot(leaf, leaf).real) for leaf in leaves]
+    return [BranchRecord(o, p, state / np.sqrt(p)) for o, p, state in zip(outcomes, norms, states)]
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -200,8 +219,8 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-    require_valid(circuit)
     n = circuit.qubit_count
-    x = np.arange(1 << n, dtype=np.int64)  # column x rides above the register
-    keys, amps, _ = labeled_pass(circuit.ops, (x << n) | x, np.ones(1 << n, dtype=complex), 2 * n)
-    return _dense(keys, amps, 1 << (2 * n)).reshape(1 << n, 1 << n).T.copy()
+    _, column, row, amps, _ = histories(circuit, *basis_inputs(range(n)))
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    u[row, column] = amps
+    return u

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .circuit import Circuit
-from .simulator import PRUNE_THRESHOLD, labeled_pass, require_valid, run_starts
+from .simulator import PRUNE_THRESHOLD, basis_inputs, histories, run_starts
 
 DEFAULT_TOLERANCE = 1e-9
 #: A tolerance absorbs float rounding (~1e-15 here); one at or above this
@@ -101,71 +101,52 @@ def check_implements(
     pivot = int(np.argmax(np.abs(target)))
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
-    require_valid(circuit)
+    inputs, spread, ones = basis_inputs(data)
+    history, column, basis, amps, outcomes = histories(circuit, inputs, spread, ones)
 
-    n = circuit.qubit_count
-    base = n + len(data)
-    # every input at once: input x rides in the label bits above the register
-    x = np.arange(dim_data, dtype=np.int64)
-    spread = (((x[:, None] >> np.arange(len(data))) & 1) << np.array(data, dtype=np.int64)).sum(1)
-    keys, amps, labels = labeled_pass(
-        circuit.ops, (x << n) | spread, np.ones(dim_data, dtype=complex), base)
-
-    # sorted by label, entries form runs of one (history, input) within runs of one history
-    order = np.argsort(keys, kind="stable")
-    keys, amps = keys[order], amps[order]
+    # entries form runs of one (history, input) within runs of one history
     weights = amps.real ** 2 + amps.imag ** 2
-    new_pair, new_history = run_starts(keys >> n), run_starts(keys >> base)
-    pairs, starts = np.flatnonzero(new_pair), np.flatnonzero(new_history)
+    new_pair = run_starts(history) | run_starts(column)
+    pairs = np.flatnonzero(new_pair)
     pair_total = np.add.reduceat(weights, pairs)
-    live_history = np.add.reduceat(weights, starts) >= PRUNE_THRESHOLD
-    history_of = np.cumsum(new_history) - 1
     # pruned as in a walk from one input; keeps rounding residue out of the ratio
-    live = (pair_total >= PRUNE_THRESHOLD)[np.cumsum(new_pair) - 1] & live_history[history_of]
-    expected = 0  # ancillas end in |0>, or hold the outcome when their last op measured them
-    for q, i in {q: i for i, op in enumerate(circuit.ops) for q in op.qubits}.items():
-        if circuit.ops[i].bit is not None and q not in circuit.data_qubits:
-            expected |= (keys & (1 << labels[i])) >> (labels[i] - q)
-    inside = (keys & sum(1 << q for q in circuit.ancilla_qubits)) == expected
+    live = (pair_total >= PRUNE_THRESHOLD)[np.cumsum(new_pair) - 1]
+    # ancillas end in |0>, or hold the outcome when their last op measured them
+    last = {q: i for i, op in enumerate(circuit.ops) for q in op.qubits}
+    held = [1 << q if last[q] == i and q not in data else 0  # per measurement
+            for i, op in enumerate(circuit.ops) if op.bit is not None for q in op.qubits]
+    expected = (np.array(outcomes, np.int64) @ np.array(held, np.int64))[history] if any(held) else 0
+    inside = (basis & sum(1 << q for q in circuit.ancilla_qubits)) == expected
     off = np.add.reduceat(np.where(inside, 0.0, weights), pairs)
     ancilla_clean = not (off > tolerance ** 2 * pair_total)[live[pairs]].any()
 
     # each history's Kraus entries K_h[row, col] inside the ancilla pattern
-    amps, basis, owner = amps[inside & live], keys[inside & live], history_of[inside & live]
-    row = np.searchsorted(spread, basis & sum(1 << q for q in data))
-    col = (basis >> n) & (dim_data - 1)
+    kept = inside & live
+    amps, owner, col = amps[kept], history[kept], column[kept]
+    row = np.searchsorted(spread, basis[kept] & sum(1 << q for q in data))
     position = row * dim_data + col
-    scalar = np.zeros(len(starts), dtype=complex)
+    scalar = np.zeros(len(outcomes), dtype=complex)
     scalar[owner[position == pivot]] = amps[position == pivot] / target.flat[pivot]
     # max |K_h - c_h U| over the leaf's entries, then over the target's nonzeros it lacks
     wanted = target[row, col]
-    largest, deviation = np.zeros((2, len(starts)))
+    largest, deviation = np.zeros((2, len(outcomes)))
     np.maximum.at(largest, owner, np.abs(amps))
     np.maximum.at(deviation, owner, np.abs(amps - scalar[owner] * wanted))
-    lacking = np.bincount(owner, wanted != 0, len(starts)) < np.count_nonzero(target)
+    lacking = np.bincount(owner, wanted != 0, len(outcomes)) < np.count_nonzero(target)
     for h in np.flatnonzero(lacking & (scalar != 0)):
         missing = np.setdiff1d(np.flatnonzero(target), position[owner == h], assume_unique=True)
         deviation[h] = max(deviation[h], abs(scalar[h]) * np.abs(target.flat[missing]).max())
 
-    # visible outcomes -> (|c|^2, phase, deviation) of each live history, depth-first
-    labels_of = (keys[starts] >> base).tolist()
-    measured = [labels[i] - base for i, op in enumerate(circuit.ops) if op.bit is not None]
-    scalar, largest, deviation = scalar.tolist(), largest.tolist(), deviation.tolist()
+    # visible outcomes -> (|c|^2, phase, deviation) of each history, depth-first
     groups: dict[tuple[int, ...], list[tuple[float, complex, float]]] = {}
-    for h in np.flatnonzero(live_history).tolist():
-        c = scalar[h]
-        groups.setdefault(tuple((labels_of[h] >> b) & 1 for b in measured), []).append(
-            (abs(c) ** 2, c / abs(c) if c else complex(1), deviation[h])
-            if largest[h] > tolerance else (0.0, complex(1), largest[h]))
+    for visible, c, big, dev in zip(outcomes, scalar.tolist(), largest.tolist(), deviation.tolist()):
+        fit = (abs(c) ** 2, c / abs(c) if c else complex(1), dev)
+        groups.setdefault(visible, []).append(fit if big > tolerance else (0.0, complex(1), big))
     reports = tuple(
-        BranchReport(outcomes, sum(h[0] for h in histories), histories[0][1],
-                     max(h[2] for h in histories))
-        for outcomes, histories in sorted(groups.items())
+        BranchReport(visible, sum(h[0] for h in group), group[0][1], max(h[2] for h in group))
+        for visible, group in sorted(groups.items())
     )
     probability_total = sum(r.probability for r in reports)
-    passed = (
-        ancilla_clean
-        and all(r.max_deviation <= tolerance for r in reports)
-        and abs(probability_total - 1.0) <= tolerance
-    )
+    passed = (ancilla_clean and all(r.max_deviation <= tolerance for r in reports)
+              and abs(probability_total - 1.0) <= tolerance)
     return ChannelVerdict(passed, reports, ancilla_clean, probability_total)

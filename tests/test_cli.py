@@ -6,8 +6,8 @@ import json
 import pytest
 
 from cnzsynth import (
-    DEFAULT_TOLERANCE, Circuit, CircuitBuilder, Gate, cccz_6t, emit_text, parse_quirk_url,
-    parse_text)
+    DEFAULT_TOLERANCE, Circuit, CircuitBuilder, Gate, cccz_6t, check_implements, emit_text,
+    parse_quirk_url, parse_text)
 from cnzsynth import cli
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
@@ -125,20 +125,36 @@ def test_verify_too_wide_for_a_dense_target_exits_2(tmp_path, capsys, monkeypatc
     assert stderr.startswith("error: Unable to allocate")
 
 
-def test_verify_tolerance_defaults_to_the_library_default():
-    args = cli.build_parser().parse_args(["verify", "--in", "c.qct", "--against", "cccz"])
-    assert args.tolerance == DEFAULT_TOLERANCE
+def test_verify_tolerance_defaults_to_the_library_default(tmp_path, capsys, monkeypatch):
+    # verify has no tolerance flag: every check runs at the library default
+    seen = []
+
+    def spy(circuit, target, tolerance=DEFAULT_TOLERANCE):
+        seen.append(tolerance)
+        return check_implements(circuit, target, tolerance)
+    monkeypatch.setattr(cli, "check_implements", spy)
+    path = tmp_path / "c.qct"
+    run(capsys, "synth", "--gate", "cccz", "--out", str(path))
+    code, _, _ = run(capsys, "verify", "--in", str(path), "--against", "cccz")
+    assert code == 0
+    assert seen == [DEFAULT_TOLERANCE]
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])
 def test_verify_rejects_meaningless_tolerance(tmp_path, capsys, tolerance):
+    # no tolerance can loosen verify: the flag is gone, so a C^3Z with two
+    # T gates deleted (ops 1 and 3, T and T†) is refused as a usage error, never passed
+    cccz = cccz_6t()
+    ops = tuple(op for i, op in enumerate(cccz.ops) if i not in (1, 3))
     path = tmp_path / "c.qct"
-    run(capsys, "synth", "--gate", "cccz", "--out", str(path))
-    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cccz",
-                               f"--tolerance={tolerance}")
-    assert code == 2
-    assert stdout == ""
-    assert "tolerance" in stderr
+    path.write_text(emit_text(Circuit(cccz.qubit_count, cccz.bit_count, ops, cccz.data_qubits)))
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--in", str(path), "--against", "cccz", f"--tolerance={tolerance}"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --tolerance" in captured.err
+    assert run(capsys, "verify", "--in", str(path), "--against", "cccz")[0] == 1
 
 
 def test_verify_rejects_dimension_mismatch(tmp_path, capsys):
@@ -147,6 +163,44 @@ def test_verify_rejects_dimension_mismatch(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:3")
     assert code == 2
     assert "data qubits" in stderr
+
+
+def synth_then_verify_cases() -> list:
+    """Every synth --gate x --method x --x-target combination with n <= 6, as
+    (synth flags, verify target with {} for z or x, kind)."""
+    out = []
+    for method in ("baseline", "optimized"):
+        specs = [("cccz", ["--gate", "cccz"], "ccc{}")] + [
+            (f"cnz{n}", ["--gate", "cnz", "-n", str(n)], f"cn{{}}:{n}")
+            for n in range(2 if method == "baseline" else 3, 7)]
+        for label, gate_args, against in specs:
+            for kind in "zx":
+                flags = [*gate_args, "--method", method] + (["--x-target"] if kind == "x" else [])
+                out.append(pytest.param(flags, against, kind, id=f"{label}-{method}-{kind}"))
+    return out
+
+
+@pytest.mark.parametrize("flags, against, kind", synth_then_verify_cases())
+def test_every_synthesized_circuit_verifies(tmp_path, capsys, flags, against, kind):
+    path = tmp_path / "c.qct"
+    assert run(capsys, "synth", *flags, "--out", str(path))[0] == 0
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against",
+                               against.format(kind))
+    assert code == 0, stderr
+    assert json.loads(stdout)["passed"] is True
+    # the Z- and X-type targets differ, so each rejects the other's circuit
+    other = against.format("x" if kind == "z" else "z")
+    assert run(capsys, "verify", "--in", str(path), "--against", other)[0] == 1
+
+
+@pytest.mark.parametrize("against", ["cnz:٣", "cnx:３", "cnz:²", "cnz:0", "cnz:", "ccx"])
+def test_verify_rejects_malformed_target(tmp_path, capsys, against):
+    path = tmp_path / "c.qct"
+    run(capsys, "synth", "--gate", "cccz", "--out", str(path))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", against)
+    assert code == 2
+    assert stdout == ""
+    assert "unknown verification target" in stderr
 
 
 def test_verify_rejects_unknown_target(tmp_path, capsys):

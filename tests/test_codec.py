@@ -118,6 +118,19 @@ def test_parse_text_rejects_malformed_measure():
         parse_text("qubits 1\nbits 1\ndata\nm 0 b0\n")
 
 
+@pytest.mark.parametrize("doc", [
+    "qubits ²\n",
+    "qubits ٣\n",
+    "qubits 2\nh ١\n",
+    "qubits 1\nbits 1\nm 0 -> b١\n",
+    "qubits 2\nbits 1\nm 1 -> b0\nreset 1\nh 0 if b٠==1\n",
+], ids=["superscript-count", "arabic-indic-count", "arabic-indic-qubit", "measure-bit",
+        "condition-bit"])
+def test_parse_text_accepts_ascii_digits_only(doc):
+    with pytest.raises(CodecError):
+        parse_text(doc)
+
+
 def test_parse_text_rejects_header_after_ops():
     with pytest.raises(CodecError, match="after ops"):
         parse_text("qubits 1\nh 0\nbits 0\n")
@@ -218,7 +231,9 @@ def test_parse_quirk_rejects_unknown_gate():
 
 def test_parse_quirk_rejects_malformed_json():
     for payload in ("%7Bnope", urllib.parse.quote('{"cols":[],"gates":5}', safe=""),
-                    urllib.parse.quote('{"gates":[{"id":[1]}]}', safe="")):
+                    urllib.parse.quote('{"gates":[{"id":[1]}]}', safe=""),
+                    urllib.parse.quote('{"cols":[[true,"H"]]}', safe=""),
+                    urllib.parse.quote('{"cols":[[1.0,"H"]]}', safe="")):
         with pytest.raises(CodecError, match="malformed circuit JSON"):
             parse_quirk_url(QUIRK_URL_PREFIX + payload)
 

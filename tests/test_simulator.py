@@ -18,6 +18,7 @@ from cnzsynth import (
     run_branches,
     unitary_of,
 )
+from cnzsynth.simulator import basis_inputs, histories
 
 UNITARY_GATES = [g for g in Gate if g.is_unitary]
 
@@ -159,6 +160,20 @@ def test_reset_returns_wire_to_zero_without_recording():
     assert sum(b.probability for b in branches) == pytest.approx(1.0)
     for b in branches:
         assert abs(abs(b.final_state[0]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("circuit, outcomes", [
+    (cccz_6t(), [(0,), (1,)]),
+    (CircuitBuilder(2, (0,)).h(1).reset(1).build(), [(), ()]),
+], ids=["cccz", "hidden-reset"])
+def test_history_table_is_sorted_and_densely_numbered(circuit, outcomes):
+    data = sorted(circuit.data_qubits)
+    history, inputs, basis_index, amps, got = histories(circuit, *basis_inputs(data))
+    assert got == outcomes
+    assert len(history) == len(inputs) == len(basis_index) == len(amps)
+    assert (np.lexsort((basis_index, inputs, history)) == np.arange(len(history))).all()
+    assert sorted(set(history.tolist())) == list(range(len(outcomes)))
+    assert sorted(set(inputs.tolist())) == list(range(1 << len(data)))
 
 
 def test_cccz_branches_flip_all_ones_input():

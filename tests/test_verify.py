@@ -22,6 +22,7 @@ from cnzsynth import (
     check_phase_identity,
     compose,
     oracle_cnz,
+    run_branches,
     synth_cnz,
 )
 
@@ -151,6 +152,24 @@ def test_hidden_reset_histories_are_separate_kraus_operators(circuit, target):
     assert abs(verdict.probability_total - 1.0) <= 1e-9
     measured = sum(op.gate is Gate.MEASURE for op in circuit.ops)
     assert len(verdict.branch_reports) == 2 ** measured
+
+
+def test_pruned_history_that_sorts_first_is_dropped():
+    # each round measures the ancilla as 0 with probability sin^2(pi/8) ~ 0.146, so the
+    # all-zeros history, which sorts first, weighs 2 * 0.146^15 ~ 6e-13 over both inputs
+    bld = CircuitBuilder(2, (0,))
+    for _ in range(15):
+        bld.h(1).t(1).h(1).x(1)
+        bld.measure(1)
+        bld.reset(1)
+    circuit = bld.build()
+    verdict = check_implements(circuit, np.eye(2))
+    assert verdict.passed
+    assert len(verdict.branch_reports) == 2 ** 15 - 1
+    assert (0,) * 15 not in {r.outcomes for r in verdict.branch_reports}
+    records = run_branches(circuit, np.array([1, 0, 0, 0], dtype=complex))
+    assert len(records) == 2 ** 15 - 1
+    assert records[0].outcomes == (0,) * 14 + (1,)
 
 
 def test_deleted_t_is_wrong_but_leaves_ancillas_clean():
