@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, Op, validate
+from .circuit import Circuit, Op, validate
 
 #: Branches whose final squared norm falls below this are dropped (as if at their event).
 PRUNE_THRESHOLD = 1e-12
@@ -50,14 +50,13 @@ class SimulationError(ValueError):
 
 _R = 1 / math.sqrt(2.0)
 _W = cmath.exp(1j * math.pi / 4)
-#: Diagonal gates: the factor where every wire of the gate holds 1.
-_PHASES = {Gate.Z: -1 + 0j, Gate.S: 1j, Gate.SDG: -1j, Gate.T: _W, Gate.TDG: _W.conjugate(),
-           Gate.CZ: -1 + 0j}
-#: Gates that mix |0> and |1>, as [[u00, u01], [u10, u11]]; √X = H S H.
+#: Diagonal gates by mnemonic: the factor where every wire of the gate holds 1.
+_PHASES = {"z": -1 + 0j, "s": 1j, "sdg": -1j, "t": _W, "tdg": _W.conjugate(), "cz": -1 + 0j}
+#: Gates that mix |0> and |1> by mnemonic, as [[u00, u01], [u10, u11]]; √X = H S H.
 _SPLITS = {
-    Gate.H: np.array([[_R, _R], [_R, -_R]], dtype=complex),
-    Gate.SX: np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2,
-    Gate.SXDG: np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]]) / 2,
+    "h": np.array([[_R, _R], [_R, -_R]], dtype=complex),
+    "sx": np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2,
+    "sxdg": np.array([[1 - 1j, 1 + 1j], [1 + 1j, 1 - 1j]]) / 2,
 }
 
 
@@ -101,20 +100,29 @@ def run_starts(values: np.ndarray) -> np.ndarray:
 
 
 def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray):
-    """Apply a mixing gate ``u`` (H, √X or √X†) on wire ``q``, pairing k with k ^ 2^q."""
+    """Apply a mixing gate ``u`` (H, √X or √X†) on wire ``q`` to distinct keys,
+    pairing k with k ^ 2^q. When no key has the wire set, every entry splits in
+    place. When the second half of the entries holds the partners of the first,
+    in order, each pair merges in place: an earlier split on the wire leaves
+    them so, and X, CX and diagonal gates keep entries where they are. Any
+    other layout sorts to find the pairs."""
     mask = 1 << q
     lo = keys & ~mask
     one = keys != lo
     to = u.take(one.view(np.int8), axis=1) * amps  # each entry's share of |0>, |1>
     if np.count_nonzero(one):
-        order = np.argsort(lo, kind="stable")
-        first = run_starts(lo[order])
-        if not first.all():  # partners present: add each pair's shares
-            lo = lo[order[first]]
-            to = np.add.reduceat(to[:, order], np.flatnonzero(first), axis=1)
-            keys, amps = np.concatenate((lo, lo | mask)), to.ravel()
-            keep = np.abs(amps) > _NEGLIGIBLE
-            return keys[keep], amps[keep]
+        half = len(keys) // 2
+        if len(keys) % 2 == 0 and (lo[:half] == lo[half:]).all():
+            lo, to = lo[:half], to[:, :half] + to[:, half:]
+        else:
+            order = np.argsort(lo, kind="stable")
+            first = run_starts(lo[order])
+            if first.all():  # no partners
+                return np.concatenate((lo, lo | mask)), to.ravel()
+            lo, to = lo[order[first]], np.add.reduceat(to[:, order], np.flatnonzero(first), axis=1)
+        keys, amps = np.concatenate((lo, lo | mask)), to.ravel()
+        keep = np.abs(amps) > _NEGLIGIBLE
+        return keys[keep], amps[keep]
     return np.concatenate((lo, lo | mask)), to.ravel()
 
 
@@ -125,12 +133,12 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
     labels = _event_bits(ops, base)
     bit_label = {op.bit: labels[i] for i, op in enumerate(ops) if op.bit is not None}
     for i, op in enumerate(ops):
-        q = op.qubits[0]
+        q, gate = op.qubits[0], op.gate._value_  # hashing a Gate member runs Python code
         care = want = 0  # the op acts on the entries whose keys & care == want
         if op.condition is not None:
             care = 1 << bit_label[op.condition[0]]
             want = care * op.condition[1]
-        split, phase = _SPLITS.get(op.gate), _PHASES.get(op.gate)
+        split, phase = _SPLITS.get(gate), _PHASES.get(gate)
         wires = (1 << q) | (1 << op.qubits[-1])
         if op.bit is not None:  # MEASURE copies its wire into its label
             keys |= (keys & (1 << q)) << (labels[i] - q)
@@ -149,7 +157,7 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
                 care, want, flip = care | (1 << q), want | (1 << q), 1 << op.qubits[1]
             else:
                 flip = wires
-            keys ^= ((keys & care) == want) * flip if care else flip
+            np.bitwise_xor(keys, flip, out=keys, where=(keys & care) == want if care else True)
     return keys, amps, labels
 
 
@@ -192,13 +200,15 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     reproducible. Branches with squared norm below PRUNE_THRESHOLD are
     dropped; classical conditions are evaluated against the branch's
     recorded outcomes. The two outcomes of a firing RESET are separate
-    records with the same ``outcomes``. Ancilla qubits of the input must be
-    in |0>.
+    records with the same ``outcomes``. The input must be finite and
+    normalized, with its ancilla qubits in |0>.
     """
     n = circuit.qubit_count
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
         raise SimulationError(f"state must have shape ({1 << n},), got {dense.shape}")
+    if not np.isfinite(dense).all():
+        raise SimulationError("input state has a non-finite amplitude")
     weights = dense.real ** 2 + dense.imag ** 2
     if abs(weights.sum() - 1.0) > _INPUT_TOLERANCE:
         raise SimulationError("input state is not normalized")

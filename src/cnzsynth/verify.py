@@ -85,8 +85,9 @@ def check_implements(
     or c_h * target, every branch leaves the ancillas clean (|0>, or the
     outcome on a measured-out wire), and the |c_h|^2 sum to 1. Each visible
     outcome string gets one report: its histories' summed probability, worst
-    deviation and the depth-first first one's phase. A target whose entries
-    are all within ``tolerance`` of 0 raises ``ValueError``.
+    deviation and the depth-first first one's phase. A target with a NaN or
+    infinite entry, or whose entries are all within ``tolerance`` of 0,
+    raises ``ValueError``.
     """
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
@@ -98,7 +99,11 @@ def check_implements(
         raise ValueError(
             f"target dimension {target.shape} does not match "
             f"{len(data)} data qubits (expected {(dim_data, dim_data)})")
-    pivot = int(np.argmax(np.abs(target)))
+    magnitude = np.abs(target)
+    if not np.isfinite(magnitude).all():
+        raise ValueError("target entries must be finite")
+    pivot, nonzeros = int(np.argmax(magnitude)), np.count_nonzero(magnitude)
+    del magnitude  # 4^d floats: held to the end, they made the n = 6 check refault heap pages
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
     inputs, spread, ones = basis_inputs(data)
@@ -123,18 +128,26 @@ def check_implements(
     # each history's Kraus entries K_h[row, col] inside the ancilla pattern
     kept = inside & live
     amps, owner, col = amps[kept], history[kept], column[kept]
-    row = np.searchsorted(spread, basis[kept] & sum(1 << q for q in data))
+    row = basis[kept] & sum(1 << q for q in data)
+    if spread[-1] >= dim_data:  # data wires other than 0..d-1: rank their patterns
+        row = np.searchsorted(spread, row)
     position = row * dim_data + col
+    at = position == pivot
     scalar = np.zeros(len(outcomes), dtype=complex)
-    scalar[owner[position == pivot]] = amps[position == pivot] / target.flat[pivot]
+    scalar[owner[at]] = amps[at] / target.flat[pivot]
     # max |K_h - c_h U| over the leaf's entries, then over the target's nonzeros it lacks
-    wanted = target[row, col]
-    largest, deviation = np.zeros((2, len(outcomes)))
-    np.maximum.at(largest, owner, np.abs(amps))
-    np.maximum.at(deviation, owner, np.abs(amps - scalar[owner] * wanted))
-    lacking = np.bincount(owner, wanted != 0, len(outcomes)) < np.count_nonzero(target)
-    for h in np.flatnonzero(lacking & (scalar != 0)):
-        missing = np.setdiff1d(np.flatnonzero(target), position[owner == h], assume_unique=True)
+    wanted = np.take(target, position)
+    largest, deviation, present = np.zeros((3, len(outcomes)))
+    if len(owner):  # a run of entries per history
+        runs = np.flatnonzero(run_starts(owner))
+        lead = owner[runs]
+        largest[lead] = np.maximum.reduceat(np.abs(amps), runs)
+        deviation[lead] = np.maximum.reduceat(np.abs(amps - scalar[owner] * wanted), runs)
+        present[lead] = np.add.reduceat(wanted != 0, runs, dtype=np.intp)
+    lacking = np.flatnonzero((present < nonzeros) & (scalar != 0))
+    support = np.flatnonzero(target) if len(lacking) else None
+    for h in lacking:
+        missing = np.setdiff1d(support, position[owner == h], assume_unique=True)
         deviation[h] = max(deviation[h], abs(scalar[h]) * np.abs(target.flat[missing]).max())
 
     # visible outcomes -> (|c|^2, phase, deviation) of each history, depth-first

@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 from cnzsynth import (
     Circuit,
     CircuitBuilder,
+    CnZSpec,
     Gate,
+    Method,
     Op,
     SimulationError,
     cccz_6t,
+    check_implements,
+    oracle_cnz,
     run_branches,
+    synth_cnz,
     unitary_of,
 )
+from cnzsynth import simulator
 from cnzsynth.simulator import basis_inputs, histories
 
 UNITARY_GATES = [g for g in Gate if g.is_unitary]
@@ -145,6 +151,15 @@ def test_run_branches_rejects_unnormalized_input():
         run_branches(cccz_6t(), 2.0 * basis(5, 0))
 
 
+@pytest.mark.parametrize("index", [1, 0], ids=["beside-one", "alone"])
+def test_run_branches_rejects_a_non_finite_state(index):
+    # [1, nan, 0, ...] would pass the norm check, since NaN compares False
+    state = basis(5, 0)
+    state[index] = np.nan
+    with pytest.raises(SimulationError, match="non-finite"):
+        run_branches(cccz_6t(), state)
+
+
 def test_run_branches_rejects_invalid_circuit():
     broken = Circuit(2, 0, (Op(Gate.CX, (0, 0)),), frozenset({0, 1}))
     with pytest.raises(SimulationError, match="invalid circuit"):
@@ -174,6 +189,37 @@ def test_history_table_is_sorted_and_densely_numbered(circuit, outcomes):
     assert (np.lexsort((basis_index, inputs, history)) == np.arange(len(history))).all()
     assert sorted(set(history.tolist())) == list(range(len(outcomes)))
     assert sorted(set(inputs.tolist())) == list(range(1 << len(data)))
+
+
+class CountingNumpy:
+    """numpy, with a count of its ``argsort`` calls."""
+
+    def __init__(self):
+        self.argsorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, *args, **kwargs):
+        self.argsorts += 1
+        return np.argsort(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n, method, sorts", [
+    (3, None, 1),  # the 6-T CCCZ
+    (3, Method.BASELINE, 3), (3, Method.OPTIMIZED, 1),
+    (4, Method.BASELINE, 4), (4, Method.OPTIMIZED, 2),
+    (5, Method.BASELINE, 5), (5, Method.OPTIMIZED, 3),
+])
+def test_merging_splits_do_not_sort(monkeypatch, n, method, sorts):
+    # Each AND's closing H (the CCCZ's closing √X†) finds its partners in the
+    # aligned halves that the opening split left. Only the measured uncompute's
+    # H, which has no partners, and the final history sort call argsort.
+    circuit = cccz_6t() if method is None else synth_cnz(CnZSpec(n), method)
+    counting = CountingNumpy()
+    monkeypatch.setattr(simulator, "np", counting)
+    assert check_implements(circuit, oracle_cnz(n)).passed
+    assert counting.argsorts == sorts
 
 
 def test_cccz_branches_flip_all_ones_input():

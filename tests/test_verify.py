@@ -98,6 +98,17 @@ def test_check_implements_rejects_a_zero_target(target):
             check_implements(cccz_6t(), target)
 
 
+@pytest.mark.parametrize("entry, value", [((5, 5), np.nan), ((2, 9), np.inf),
+                                          ((15, 15), complex(0, -np.inf))])
+def test_check_implements_rejects_a_non_finite_target(entry, value):
+    target = oracle_cnz(3)
+    target[entry] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            check_implements(cccz_6t(), target)
+
+
 def test_check_implements_flags_entangled_ancilla():
     # the AND compute alone leaves the ancilla holding a AND b
     verdict = check_implements(and_compute(0, 1, 2), np.eye(4))
