@@ -45,6 +45,8 @@ def _print_count(circuit: Circuit) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.gate == "cccz":
+        if args.n is not None:
+            raise CodecError("synth --gate cccz takes no -n")
         circuit = cccz_6t()
         target = 3
     else:

@@ -164,17 +164,19 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
 def basis_inputs(wires) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``histories`` inputs for every basis state of ``wires``, the other wires
     |0>: input x, its register index (wire wires[j] holds bit j of x) and 1."""
-    x = np.arange(1 << len(wires), dtype=np.int64)
-    spread = (((x[:, None] >> np.arange(len(wires))) & 1) << np.array(wires, dtype=np.int64)).sum(1)
+    x = spread = np.arange(1 << len(wires), dtype=np.int64)  # wires 0..k-1, as synthesized
+    if list(wires) != list(range(len(wires))):
+        spread = (((x[:, None] >> np.arange(len(wires))) & 1) << np.array(wires, dtype=np.int64)).sum(1)
     return x, spread, np.ones(len(x), dtype=complex)
 
 
 def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.ndarray):
     """Validate ``circuit``, run it once over entries (input label, register index,
     amplitude) and return per-entry (history, input, basis, amplitude) arrays sorted
-    in that order, with each history's visible outcomes in measurement order. A
-    history is one full run of events, hidden reset outcomes included; those of
-    squared norm below PRUNE_THRESHOLD are dropped, the rest numbered 0..H-1 depth-first."""
+    in that order, each history's visible outcomes in measurement order and the
+    offset of each history's first entry. A history is one full run of events,
+    hidden reset outcomes included; those of squared norm below PRUNE_THRESHOLD
+    are dropped, the rest numbered 0..H-1 depth-first."""
     require_valid(circuit)
     n = circuit.qubit_count
     width = n + int(inputs.max(initial=0)).bit_length()
@@ -190,7 +192,8 @@ def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.
     if len(outcomes) < len(starts):  # some history was pruned
         keep = live[history]
         keys, amps, history = keys[keep], amps[keep], (np.cumsum(live) - 1)[history[keep]]
-    return history, (keys >> n) & ((1 << (width - n)) - 1), keys & ((1 << n) - 1), amps, outcomes
+        starts = np.flatnonzero(run_starts(history))
+    return history, (keys >> n) & ((1 << (width - n)) - 1), keys & ((1 << n) - 1), amps, outcomes, starts
 
 
 def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:
@@ -216,10 +219,10 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     if weights[np.arange(1 << n) & anc_mask != 0].sum() > _INPUT_TOLERANCE ** 2:
         raise SimulationError("ancilla qubits must start in |0>")
     keys = np.flatnonzero(dense)
-    history, _, basis, amps, outcomes = histories(circuit, np.zeros_like(keys), keys, dense[keys])
+    history, _, basis, amps, outcomes, starts = histories(circuit, np.zeros_like(keys), keys, dense[keys])
     states = np.zeros((len(outcomes), 1 << n), dtype=complex)
     states[history, basis] = amps
-    leaves = np.split(amps, np.flatnonzero(run_starts(history))[1:])
+    leaves = np.split(amps, starts[1:])
     norms = [float(np.vdot(leaf, leaf).real) for leaf in leaves]
     return [BranchRecord(o, p, state / np.sqrt(p)) for o, p, state in zip(outcomes, norms, states)]
 
@@ -230,7 +233,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
     n = circuit.qubit_count
-    _, column, row, amps, _ = histories(circuit, *basis_inputs(range(n)))
+    _, column, row, amps, _, _ = histories(circuit, *basis_inputs(range(n)))
     u = np.zeros((1 << n, 1 << n), dtype=complex)
     u[row, column] = amps
     return u

@@ -88,6 +88,12 @@ def check_implements(
     deviation and the depth-first first one's phase. A target with a NaN or
     infinite entry, or whose entries are all within ``tolerance`` of 0,
     raises ``ValueError``.
+
+    The per-(history, input) sums that drop pairs below PRUNE_THRESHOLD and
+    weigh ancilla leaks run only when some entry lies outside the ancilla
+    pattern or below that threshold. Skipping them otherwise is exact: a
+    float sum of nonnegative terms is never below any one of its terms, so
+    every pair is live, and no entry leaks.
     """
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
@@ -107,28 +113,32 @@ def check_implements(
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
     inputs, spread, ones = basis_inputs(data)
-    history, column, basis, amps, outcomes = histories(circuit, inputs, spread, ones)
+    history, column, basis, amps, outcomes, runs = histories(circuit, inputs, spread, ones)
 
-    # entries form runs of one (history, input) within runs of one history
-    weights = amps.real ** 2 + amps.imag ** 2
-    new_pair = run_starts(history) | run_starts(column)
-    pairs = np.flatnonzero(new_pair)
-    pair_total = np.add.reduceat(weights, pairs)
-    # pruned as in a walk from one input; keeps rounding residue out of the ratio
-    live = (pair_total >= PRUNE_THRESHOLD)[np.cumsum(new_pair) - 1]
     # ancillas end in |0>, or hold the outcome when their last op measured them
     last = {q: i for i, op in enumerate(circuit.ops) for q in op.qubits}
     held = [1 << q if last[q] == i and q not in data else 0  # per measurement
             for i, op in enumerate(circuit.ops) if op.bit is not None for q in op.qubits]
     expected = (np.array(outcomes, np.int64) @ np.array(held, np.int64))[history] if any(held) else 0
     inside = (basis & sum(1 << q for q in circuit.ancilla_qubits)) == expected
-    off = np.add.reduceat(np.where(inside, 0.0, weights), pairs)
-    ancilla_clean = not (off > tolerance ** 2 * pair_total)[live[pairs]].any()
+    weights = amps.real ** 2 + amps.imag ** 2
+    owner, col = history, column
+    if inside.all() and weights.min() >= PRUNE_THRESHOLD:  # every pair live, none leaks
+        ancilla_clean = True
+    else:  # entries form runs of one (history, input) within runs of one history
+        new_pair = run_starts(history) | run_starts(column)
+        pairs = np.flatnonzero(new_pair)
+        pair_total = np.add.reduceat(weights, pairs)
+        # pruned as in a walk from one input; keeps rounding residue out of the ratio
+        live = (pair_total >= PRUNE_THRESHOLD)[np.cumsum(new_pair) - 1]
+        off = np.add.reduceat(np.where(inside, 0.0, weights), pairs)
+        ancilla_clean = not (off > tolerance ** 2 * pair_total)[live[pairs]].any()
+        kept = inside & live
+        amps, owner, col, basis = amps[kept], history[kept], column[kept], basis[kept]
+        runs = np.flatnonzero(run_starts(owner))
 
     # each history's Kraus entries K_h[row, col] inside the ancilla pattern
-    kept = inside & live
-    amps, owner, col = amps[kept], history[kept], column[kept]
-    row = basis[kept] & sum(1 << q for q in data)
+    row = basis & sum(1 << q for q in data)
     if spread[-1] >= dim_data:  # data wires other than 0..d-1: rank their patterns
         row = np.searchsorted(spread, row)
     position = row * dim_data + col
@@ -139,7 +149,6 @@ def check_implements(
     wanted = np.take(target, position)
     largest, deviation, present = np.zeros((3, len(outcomes)))
     if len(owner):  # a run of entries per history
-        runs = np.flatnonzero(run_starts(owner))
         lead = owner[runs]
         largest[lead] = np.maximum.reduceat(np.abs(amps), runs)
         deviation[lead] = np.maximum.reduceat(np.abs(amps - scalar[owner] * wanted), runs)

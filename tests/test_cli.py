@@ -56,6 +56,15 @@ def test_synth_rejects_cnz_without_n(tmp_path, capsys):
     assert code == 2
 
 
+def test_synth_rejects_cccz_with_n(tmp_path, capsys):
+    out = tmp_path / "c.qct"
+    code, stdout, stderr = run(capsys, "synth", "--gate", "cccz", "-n", "5", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "synth --gate cccz takes no -n" in stderr
+    assert not out.exists()
+
+
 def test_synth_x_target_wraps_with_hadamards(tmp_path, capsys):
     out = tmp_path / "c.qct"
     run(capsys, "synth", "--gate", "cccz", "--x-target", "--out", str(out))

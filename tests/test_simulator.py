@@ -1,7 +1,7 @@
 """Tests for gate matrices, state evolution, and measurement branching."""
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from cnzsynth import (
     synth_cnz,
     unitary_of,
 )
-from cnzsynth import simulator
+from cnzsynth import simulator, verify
 from cnzsynth.simulator import basis_inputs, histories
 
 UNITARY_GATES = [g for g in Gate if g.is_unitary]
@@ -177,32 +177,60 @@ def test_reset_returns_wire_to_zero_without_recording():
         assert abs(abs(b.final_state[0]) - 1.0) < 1e-9
 
 
+def fifteen_rounds(entangle: bool = False) -> Circuit:
+    """Fifteen rounds that each measure the ancilla as 0 with probability
+    sin^2(pi/8) ~ 0.146, so the all-zeros history weighs 0.146^15 ~ 3e-13 per
+    input. With ``entangle``, a CX from the data wire before each measurement
+    flips the ancilla on input 1, whose all-zeros run then weighs about 0.09."""
+    bld = CircuitBuilder(2, (0,))
+    for _ in range(15):
+        bld.h(1).t(1).h(1).x(1)
+        if entangle:
+            bld.cx(0, 1)
+        bld.measure(1)
+        bld.reset(1)
+    return bld.build()
+
+
 @pytest.mark.parametrize("circuit, outcomes", [
     (cccz_6t(), [(0,), (1,)]),
     (CircuitBuilder(2, (0,)).h(1).reset(1).build(), [(), ()]),
-], ids=["cccz", "hidden-reset"])
+    (fifteen_rounds(), list(product((0, 1), repeat=15))[1:]),
+], ids=["cccz", "hidden-reset", "pruned"])
 def test_history_table_is_sorted_and_densely_numbered(circuit, outcomes):
     data = sorted(circuit.data_qubits)
-    history, inputs, basis_index, amps, got = histories(circuit, *basis_inputs(data))
+    history, inputs, basis_index, amps, got, starts = histories(circuit, *basis_inputs(data))
     assert got == outcomes
     assert len(history) == len(inputs) == len(basis_index) == len(amps)
     assert (np.lexsort((basis_index, inputs, history)) == np.arange(len(history))).all()
     assert sorted(set(history.tolist())) == list(range(len(outcomes)))
     assert sorted(set(inputs.tolist())) == list(range(1 << len(data)))
+    assert starts.tolist() == np.flatnonzero(np.diff(history, prepend=-1)).tolist()
 
 
 class CountingNumpy:
-    """numpy, with a count of its ``argsort`` calls."""
+    """numpy, with a count of the calls to each of the named functions."""
 
-    def __init__(self):
-        self.argsorts = 0
+    def __init__(self, *names: str):
+        self.calls = dict.fromkeys(names, 0)
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        function = getattr(np, name)
+        if name not in self.calls:
+            return function
 
-    def argsort(self, *args, **kwargs):
-        self.argsorts += 1
-        return np.argsort(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+
+def count_numpy_calls(monkeypatch, *names: str) -> CountingNumpy:
+    """Count the simulator's and the verifier's calls to the named numpy functions."""
+    counting = CountingNumpy(*names)
+    monkeypatch.setattr(simulator, "np", counting)
+    monkeypatch.setattr(verify, "np", counting)
+    return counting
 
 
 @pytest.mark.parametrize("n, method, sorts", [
@@ -216,10 +244,9 @@ def test_merging_splits_do_not_sort(monkeypatch, n, method, sorts):
     # aligned halves that the opening split left. Only the measured uncompute's
     # H, which has no partners, and the final history sort call argsort.
     circuit = cccz_6t() if method is None else synth_cnz(CnZSpec(n), method)
-    counting = CountingNumpy()
-    monkeypatch.setattr(simulator, "np", counting)
+    counting = count_numpy_calls(monkeypatch, "argsort")
     assert check_implements(circuit, oracle_cnz(n)).passed
-    assert counting.argsorts == sorts
+    assert counting.calls == {"argsort": sorts}
 
 
 def test_cccz_branches_flip_all_ones_input():

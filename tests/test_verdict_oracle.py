@@ -20,8 +20,11 @@ from cnzsynth import (
     cccz_6t,
     check_implements,
     compose,
+    oracle_cnz,
+    remap_qubits,
 )
 from test_engine_oracle import feedback_circuits, named_circuits
+from test_simulator import count_numpy_calls, fifteen_rounds
 from test_verify import then_h_reset
 
 TOL = 1e-12
@@ -89,6 +92,24 @@ def test_conditioned_reset_passes_with_hidden_histories_in_one_branch():
     _, histories = dense_oracle.check_implements(circuit, np.eye(2))
     assert [(h.outcomes, h.hidden) for h in histories] == [
         ((0,), ((4, 0),)), ((1,), ((4, 1), (5, 0))), ((1,), ((4, 1), (5, 1)))]
+
+
+@pytest.mark.parametrize("circuit, target, calls", [
+    # the compute leaves the ancilla holding a AND b: entries outside the pattern
+    pytest.param(and_compute(0, 1, 2), np.eye(4), {"cumsum": 2, "where": 1}, id="dirty-ancilla"),
+    # input 0's all-zeros run weighs ~3e-13 inside a history that input 1 keeps live
+    pytest.param(fifteen_rounds(entangle=True), np.eye(2), {"cumsum": 2, "where": 1},
+                 id="dead-pair-in-live-history"),
+    # data wires 1, 2, 3, 4 reach the verdict through basis_inputs' spread and its ranks
+    pytest.param(remap_qubits(cccz_6t(), {0: 4, 4: 0}), oracle_cnz(3), {"cumsum": 1, "where": 0},
+                 id="remapped-data-wires"),
+])
+def test_each_verdict_path_matches_dense_reference(monkeypatch, circuit, target, calls):
+    with monkeypatch.context() as patched:
+        counting = count_numpy_calls(patched, *calls)
+        check_implements(circuit, target)
+    assert counting.calls == calls
+    assert_same_verdict(circuit, target)
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,6 +25,7 @@ from cnzsynth import (
     run_branches,
     synth_cnz,
 )
+from test_simulator import count_numpy_calls, fifteen_rounds
 
 
 def without_ops(circuit: Circuit, *indices: int) -> Circuit:
@@ -166,14 +167,8 @@ def test_hidden_reset_histories_are_separate_kraus_operators(circuit, target):
 
 
 def test_pruned_history_that_sorts_first_is_dropped():
-    # each round measures the ancilla as 0 with probability sin^2(pi/8) ~ 0.146, so the
-    # all-zeros history, which sorts first, weighs 2 * 0.146^15 ~ 6e-13 over both inputs
-    bld = CircuitBuilder(2, (0,))
-    for _ in range(15):
-        bld.h(1).t(1).h(1).x(1)
-        bld.measure(1)
-        bld.reset(1)
-    circuit = bld.build()
+    # the all-zeros history, which sorts first, weighs 2 * 0.146^15 ~ 6e-13 over both inputs
+    circuit = fifteen_rounds()
     verdict = check_implements(circuit, np.eye(2))
     assert verdict.passed
     assert len(verdict.branch_reports) == 2 ** 15 - 1
@@ -181,6 +176,17 @@ def test_pruned_history_that_sorts_first_is_dropped():
     records = run_branches(circuit, np.array([1, 0, 0, 0], dtype=complex))
     assert len(records) == 2 ** 15 - 1
     assert records[0].outcomes == (0,) * 14 + (1,)
+
+
+@pytest.mark.parametrize("n, method", [(3, None)] + [
+    (n, method) for n in (3, 4, 5) for method in Method])
+def test_clean_history_table_skips_the_pair_sums(monkeypatch, n, method):
+    # every entry of a passing ladder lies inside the ancilla pattern and at or above
+    # PRUNE_THRESHOLD, so the one cumsum numbers the histories and no leak sum runs
+    circuit = cccz_6t() if method is None else synth_cnz(CnZSpec(n), method)
+    counting = count_numpy_calls(monkeypatch, "cumsum", "where")
+    assert check_implements(circuit, oracle_cnz(n)).passed
+    assert counting.calls == {"cumsum": 1, "where": 0}
 
 
 def test_deleted_t_is_wrong_but_leaves_ancillas_clean():
