@@ -186,7 +186,7 @@ def compose(first: Circuit, second: Circuit) -> Circuit:
 def remap_qubits(circuit: Circuit, mapping: dict[int, int]) -> Circuit:
     """Relabel qubits by a bijection on 0..qubit_count-1 (identity where omitted)."""
     full = {q: mapping.get(q, q) for q in range(circuit.qubit_count)}
-    if sorted(full.values()) != list(range(circuit.qubit_count)):
+    if mapping.keys() - full.keys() or sorted(full.values()) != list(range(circuit.qubit_count)):
         raise CircuitError("qubit mapping is not a bijection on the register")
     ops = tuple(replace(op, qubits=tuple(full[q] for q in op.qubits)) for op in circuit.ops)
     data = frozenset(full[q] for q in circuit.data_qubits)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .circuit import Circuit, Op, validate
 
-#: Branches whose final squared norm falls below this are dropped (as if at their event).
+#: ``histories`` drops each input's branch, one (history, input) pair, whose final
+#: squared norm falls below this (as if at its event); the verifier prunes nothing.
 PRUNE_THRESHOLD = 1e-12
 
 _INPUT_TOLERANCE = 1e-9
@@ -175,24 +176,26 @@ def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.
     amplitude) and return per-entry (history, input, basis, amplitude) arrays sorted
     in that order, each history's visible outcomes in measurement order and the
     offset of each history's first entry. A history is one full run of events,
-    hidden reset outcomes included; those of squared norm below PRUNE_THRESHOLD
-    are dropped, the rest numbered 0..H-1 depth-first."""
+    hidden reset outcomes included. Each (history, input) pair of squared norm
+    below PRUNE_THRESHOLD is dropped, as a walk from that input drops its branch;
+    the histories left with a pair are numbered 0..H-1 depth-first."""
     require_valid(circuit)
     n = circuit.qubit_count
     width = n + int(inputs.max(initial=0)).bit_length()
     keys, amps, labels = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width)
     order = np.argsort(keys, kind="stable")
     keys, amps = keys[order], amps[order]
+    weights = amps.real ** 2 + amps.imag ** 2
+    if weights.min() < PRUNE_THRESHOLD:  # else no pair can sum below it
+        new_pair = run_starts(keys >> n)
+        live = np.add.reduceat(weights, np.flatnonzero(new_pair)) >= PRUNE_THRESHOLD
+        keep = live[np.cumsum(new_pair) - 1]
+        keys, amps = keys[keep], amps[keep]
     new = run_starts(keys >> width)
     starts = np.flatnonzero(new)
-    live = np.add.reduceat(amps.real ** 2 + amps.imag ** 2, starts) >= PRUNE_THRESHOLD
     measured = np.array([labels[i] for i, op in enumerate(circuit.ops) if op.bit is not None], np.int64)
-    outcomes = list(map(tuple, ((keys[starts[live], None] >> measured) & 1).tolist()))
+    outcomes = list(map(tuple, ((keys[starts, None] >> measured) & 1).tolist()))
     history = np.cumsum(new) - 1
-    if len(outcomes) < len(starts):  # some history was pruned
-        keep = live[history]
-        keys, amps, history = keys[keep], amps[keep], (np.cumsum(live) - 1)[history[keep]]
-        starts = np.flatnonzero(run_starts(history))
     return history, (keys >> n) & ((1 << (width - n)) - 1), keys & ((1 << n) - 1), amps, outcomes, starts
 
 

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .circuit import Circuit
-from .simulator import PRUNE_THRESHOLD, basis_inputs, histories, run_starts
+from .simulator import basis_inputs, histories, run_starts
 
 DEFAULT_TOLERANCE = 1e-9
 #: A tolerance absorbs float rounding (~1e-15 here); one at or above this
@@ -89,11 +89,9 @@ def check_implements(
     infinite entry, or whose entries are all within ``tolerance`` of 0,
     raises ``ValueError``.
 
-    The per-(history, input) sums that drop pairs below PRUNE_THRESHOLD and
-    weigh ancilla leaks run only when some entry lies outside the ancilla
-    pattern or below that threshold. Skipping them otherwise is exact: a
-    float sum of nonnegative terms is never below any one of its terms, so
-    every pair is live, and no entry leaks.
+    ``histories`` has already dropped the negligible (history, input) pairs;
+    the verdict prunes nothing. It weighs each pair's ancilla leak only when
+    some entry lies outside the ancilla pattern.
     """
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
@@ -121,20 +119,13 @@ def check_implements(
             for i, op in enumerate(circuit.ops) if op.bit is not None for q in op.qubits]
     expected = (np.array(outcomes, np.int64) @ np.array(held, np.int64))[history] if any(held) else 0
     inside = (basis & sum(1 << q for q in circuit.ancilla_qubits)) == expected
-    weights = amps.real ** 2 + amps.imag ** 2
-    owner, col = history, column
-    if inside.all() and weights.min() >= PRUNE_THRESHOLD:  # every pair live, none leaks
-        ancilla_clean = True
-    else:  # entries form runs of one (history, input) within runs of one history
-        new_pair = run_starts(history) | run_starts(column)
-        pairs = np.flatnonzero(new_pair)
-        pair_total = np.add.reduceat(weights, pairs)
-        # pruned as in a walk from one input; keeps rounding residue out of the ratio
-        live = (pair_total >= PRUNE_THRESHOLD)[np.cumsum(new_pair) - 1]
+    owner, col, ancilla_clean = history, column, True
+    if not inside.all():  # entries form runs of one (history, input) within runs of one history
+        weights = amps.real ** 2 + amps.imag ** 2
+        pairs = np.flatnonzero(run_starts(history) | run_starts(column))
         off = np.add.reduceat(np.where(inside, 0.0, weights), pairs)
-        ancilla_clean = not (off > tolerance ** 2 * pair_total)[live[pairs]].any()
-        kept = inside & live
-        amps, owner, col, basis = amps[kept], history[kept], column[kept], basis[kept]
+        ancilla_clean = not (off > tolerance ** 2 * np.add.reduceat(weights, pairs)).any()
+        amps, owner, col, basis = amps[inside], history[inside], column[inside], basis[inside]
         runs = np.flatnonzero(run_starts(owner))
 
     # each history's Kraus entries K_h[row, col] inside the ancilla pattern

@@ -138,3 +138,5 @@ def test_remap_qubits_permutes_operands_and_designation():
 def test_remap_qubits_rejects_non_bijection():
     with pytest.raises(CircuitError, match="bijection"):
         remap_qubits(cccz_6t(), {0: 1})
+    with pytest.raises(CircuitError, match="bijection"):  # keys outside the register
+        remap_qubits(cccz_6t(), {7: 7, -1: 3})

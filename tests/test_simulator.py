@@ -177,18 +177,32 @@ def test_reset_returns_wire_to_zero_without_recording():
         assert abs(abs(b.final_state[0]) - 1.0) < 1e-9
 
 
-def fifteen_rounds(entangle: bool = False) -> Circuit:
+def fifteen_rounds() -> Circuit:
     """Fifteen rounds that each measure the ancilla as 0 with probability
     sin^2(pi/8) ~ 0.146, so the all-zeros history weighs 0.146^15 ~ 3e-13 per
-    input. With ``entangle``, a CX from the data wire before each measurement
-    flips the ancilla on input 1, whose all-zeros run then weighs about 0.09."""
+    input."""
     bld = CircuitBuilder(2, (0,))
     for _ in range(15):
         bld.h(1).t(1).h(1).x(1)
-        if entangle:
-            bld.cx(0, 1)
         bld.measure(1)
         bld.reset(1)
+    return bld.build()
+
+
+def five_rounds(data: int, entangle: bool = False) -> Circuit:
+    """Five rounds on ancilla wire ``data``, after ``data`` idle data wires,
+    that each measure it as 0 with probability ~0.00314, so the all-zeros
+    history weighs ~3e-13 on every input. With ``entangle``, a CX from wire 0
+    before each measurement flips the ancilla on odd inputs, where the
+    all-ones history weighs ~3e-13 instead and the all-zeros one ~0.98."""
+    bld = CircuitBuilder(data + 1, tuple(range(data)))
+    for _ in range(5):
+        for gate in "hththtthththttththth":
+            getattr(bld, gate)(data)
+        if entangle:
+            bld.cx(0, data)
+        bld.measure(data)
+        bld.reset(data)
     return bld.build()
 
 

@@ -23,8 +23,8 @@ from cnzsynth import (
     oracle_cnz,
     remap_qubits,
 )
-from test_engine_oracle import feedback_circuits, named_circuits
-from test_simulator import count_numpy_calls, fifteen_rounds
+from test_engine_oracle import data_inputs, feedback_circuits, named_circuits
+from test_simulator import count_numpy_calls, five_rounds
 from test_verify import then_h_reset
 
 TOL = 1e-12
@@ -94,21 +94,34 @@ def test_conditioned_reset_passes_with_hidden_histories_in_one_branch():
         ((0,), ((4, 0),)), ((1,), ((4, 1), (5, 0))), ((1,), ((4, 1), (5, 1)))]
 
 
-@pytest.mark.parametrize("circuit, target, calls", [
-    # the compute leaves the ancilla holding a AND b: entries outside the pattern
-    pytest.param(and_compute(0, 1, 2), np.eye(4), {"cumsum": 2, "where": 1}, id="dirty-ancilla"),
-    # input 0's all-zeros run weighs ~3e-13 inside a history that input 1 keeps live
-    pytest.param(fifteen_rounds(entangle=True), np.eye(2), {"cumsum": 2, "where": 1},
+def dead_pairs(circuit: Circuit) -> int:
+    """(history, input) pairs the reference walk drops from histories that
+    another input reaches."""
+    reached = [{(outcomes, hidden) for outcomes, hidden, _ in dense_oracle.walk(circuit, state)}
+               for state in data_inputs(circuit)]
+    every = set().union(*reached)
+    return sum(len(every - pairs) for pairs in reached)
+
+
+@pytest.mark.parametrize("circuit, target, calls, dead", [
+    # the compute leaves the ancilla holding a AND b: only the leak sums run
+    pytest.param(and_compute(0, 1, 2), np.eye(4), {"cumsum": 1, "where": 1}, 0, id="dirty-ancilla"),
+    # input 0's all-zeros run and input 1's all-ones run weigh ~3e-13 each, inside
+    # histories the other input keeps live: histories prunes the pairs, nothing leaks
+    pytest.param(five_rounds(1, entangle=True), np.eye(2), {"cumsum": 2, "where": 0}, 2,
                  id="dead-pair-in-live-history"),
+    # the all-zeros history weighs ~3e-13 on each of 4 inputs, 1.2e-12 in all: every pair is dead
+    pytest.param(five_rounds(2), np.eye(4), {"cumsum": 2, "where": 0}, 0, id="dead-history"),
     # data wires 1, 2, 3, 4 reach the verdict through basis_inputs' spread and its ranks
-    pytest.param(remap_qubits(cccz_6t(), {0: 4, 4: 0}), oracle_cnz(3), {"cumsum": 1, "where": 0},
+    pytest.param(remap_qubits(cccz_6t(), {0: 4, 4: 0}), oracle_cnz(3), {"cumsum": 1, "where": 0}, 0,
                  id="remapped-data-wires"),
 ])
-def test_each_verdict_path_matches_dense_reference(monkeypatch, circuit, target, calls):
+def test_each_verdict_path_matches_dense_reference(monkeypatch, circuit, target, calls, dead):
     with monkeypatch.context() as patched:
         counting = count_numpy_calls(patched, *calls)
         check_implements(circuit, target)
     assert counting.calls == calls
+    assert dead_pairs(circuit) == dead
     assert_same_verdict(circuit, target)
 
 

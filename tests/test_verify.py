@@ -25,7 +25,7 @@ from cnzsynth import (
     run_branches,
     synth_cnz,
 )
-from test_simulator import count_numpy_calls, fifteen_rounds
+from test_simulator import count_numpy_calls, fifteen_rounds, five_rounds
 
 
 def without_ops(circuit: Circuit, *indices: int) -> Circuit:
@@ -178,11 +178,21 @@ def test_pruned_history_that_sorts_first_is_dropped():
     assert records[0].outcomes == (0,) * 14 + (1,)
 
 
+def test_history_whose_every_pair_is_dead_is_dropped():
+    # the all-zeros history weighs ~3e-13 on each of 4 inputs, 1.2e-12 in all; a walk
+    # from each input drops it, so it gets no report, not one of probability 0
+    verdict = check_implements(five_rounds(2), np.eye(4))
+    assert verdict.passed
+    assert len(verdict.branch_reports) == 31
+    assert (0,) * 5 not in {r.outcomes for r in verdict.branch_reports}
+
+
 @pytest.mark.parametrize("n, method", [(3, None)] + [
     (n, method) for n in (3, 4, 5) for method in Method])
 def test_clean_history_table_skips_the_pair_sums(monkeypatch, n, method):
-    # every entry of a passing ladder lies inside the ancilla pattern and at or above
-    # PRUNE_THRESHOLD, so the one cumsum numbers the histories and no leak sum runs
+    # every entry of a passing ladder lies at or above PRUNE_THRESHOLD and inside the
+    # ancilla pattern, so histories prunes no pair, its one cumsum numbers the
+    # histories, and the verdict runs no leak sum
     circuit = cccz_6t() if method is None else synth_cnz(CnZSpec(n), method)
     counting = count_numpy_calls(monkeypatch, "cumsum", "where")
     assert check_implements(circuit, oracle_cnz(n)).passed
