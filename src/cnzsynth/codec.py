@@ -284,6 +284,9 @@ def parse_quirk_url(url: str) -> Circuit:
     custom_gates = payload.get("gates", [])
     if not isinstance(custom_gates, list):
         raise CodecError("malformed circuit JSON: 'gates' is not a list")
+    init = payload.get("init", [])
+    if not isinstance(init, list) or any(type(state) is not int or state != 0 for state in init):
+        raise CodecError("malformed circuit JSON: 'init' must be a list of 0s (every wire starts in |0>)")
 
     identity_ids: set[str] = set()
     custom_ids: set[str] = set()

@@ -14,6 +14,12 @@ MAX_KEY_BITS bits; a wider circuit raises SimulationError. ``histories`` is
 the only reader of this key layout: ``run_branches``, ``unitary_of`` and the
 verifier all read its table of (history, input, basis, amplitude) entries.
 
+The pass knows each register wire as zero (0 in every key), classical (a
+function of the label bits, so no key's partner on it is present) or free: a
+split finds which keys set a wire only if it is not zero, and pairs them
+only if it is free. An echo, an unconditioned RESET whose wire still holds
+its last MEASURE's outcome, takes no label bit: it just clears the wire.
+
 Conventions, pinned for the codec and verifier:
   - qubit 0 is the least-significant bit of the basis-state index;
   - MEASURE projects the wire (the post-measurement wire holds the outcome;
@@ -83,16 +89,25 @@ def require_valid(circuit: Circuit) -> None:
             "invalid circuit: " + "; ".join(str(v) for v in violations))
 
 
-def _event_bits(ops: tuple[Op, ...], base: int) -> dict[int, int]:
-    """Label bit of each MEASURE and RESET by op index: the first event takes the
-    highest bit, the last takes bit ``base``. Keys are held to MAX_KEY_BITS."""
-    events = [i for i, op in enumerate(ops) if not op.gate.is_unitary]
+def _event_bits(ops: tuple[Op, ...], base: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Label bit of each MEASURE and each RESET but the echoes, by op index (the
+    first takes the highest bit, the last bit ``base``), and of each measurement
+    bit in measurement order. Keys are held to MAX_KEY_BITS."""
+    events, held = [], 0  # wires that still hold their last MEASURE's outcome
+    for i, op in enumerate(ops):
+        gate = op.gate._value_
+        if gate not in _PHASES:  # X, a CX's target, H, √X(†) and RESET may flip the wire
+            wire = 1 << op.qubits[-1]
+            if gate == "m" or gate == "reset" and (op.condition is not None or not held & wire):
+                events.append(i)
+            held = held | wire if gate == "m" else held & ~wire
     if base + len(events) > MAX_KEY_BITS:
         raise SimulationError(
             f"{base} register and input label bits plus {len(events)} measurement and "
             f"reset labels exceed the {MAX_KEY_BITS}-bit key")
     top = base + len(events) - 1
-    return {i: top - e for e, i in enumerate(events)}
+    labels = {i: top - e for e, i in enumerate(events)}
+    return labels, {ops[i].bit: labels[i] for i in events if ops[i].bit is not None}
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -100,66 +115,82 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([True], values[1:] != values[:-1]))
 
 
-def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray):
+def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray, zero, classical, settle):
     """Apply a mixing gate ``u`` (H, √X or √X†) on wire ``q`` to distinct keys,
-    pairing k with k ^ 2^q. When no key has the wire set, every entry splits in
+    pairing k with k ^ 2^q; returns (keys, amps, whether the wire is classical).
+    A ``zero`` or ``classical`` wire has no partners: every entry splits in
     place. When the second half of the entries holds the partners of the first,
     in order, each pair merges in place: an earlier split on the wire leaves
-    them so, and X, CX and diagonal gates keep entries where they are. Any
-    other layout sorts to find the pairs."""
-    mask = 1 << q
+    them so, and X, CX and diagonal gates keep entries where they are. Any other
+    layout sorts to find the pairs. A merge leaves the wire classical when each
+    pair keeps one entry and, by ``settle``, no other wire is free."""
+    mask, n = 1 << q, len(keys)
+    if zero:
+        return np.concatenate((keys, keys | mask)), np.multiply.outer(u[:, 0], amps).ravel(), False
     lo = keys & ~mask
-    one = keys != lo
-    to = u.take(one.view(np.int8), axis=1) * amps  # each entry's share of |0>, |1>
-    if np.count_nonzero(one):
-        half = len(keys) // 2
-        if len(keys) % 2 == 0 and (lo[:half] == lo[half:]).all():
-            lo, to = lo[:half], to[:, :half] + to[:, half:]
-        else:
-            order = np.argsort(lo, kind="stable")
-            first = run_starts(lo[order])
-            if first.all():  # no partners
-                return np.concatenate((lo, lo | mask)), to.ravel()
+    to = u.take((keys != lo).view(np.int8), axis=1) * amps  # each entry's share of |0>, |1>
+    if not classical and n % 2 == 0 and (lo[:n // 2] == lo[n // 2:]).all():
+        lo, to = lo[:n // 2], to[:, :n // 2] + to[:, n // 2:]
+    elif not classical:
+        order = np.argsort(lo, kind="stable")
+        first = run_starts(lo[order])
+        if not first.all():
             lo, to = lo[order[first]], np.add.reduceat(to[:, order], np.flatnonzero(first), axis=1)
-        keys, amps = np.concatenate((lo, lo | mask)), to.ravel()
-        keep = np.abs(amps) > _NEGLIGIBLE
-        return keys[keep], amps[keep]
-    return np.concatenate((lo, lo | mask)), to.ravel()
+    keys, amps = np.concatenate((lo, lo | mask)), to.ravel()
+    if len(lo) == n:  # no partners
+        return keys, amps, False
+    # settled, the keys of a label class form one pair, so keeping one entry of each is a function
+    keep = np.abs(amps) > _NEGLIGIBLE
+    return keys[keep], amps[keep], settle and bool((keep[:len(lo)] != keep[len(lo):]).all())
 
 
-def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: int):
-    """Run valid ``ops`` once over every branch of a sparse state whose keys
-    use only the bits below ``base``; returns (keys, amps, _event_bits(ops, base)).
-    Both arrays may be updated in place."""
-    labels = _event_bits(ops, base)
-    bit_label = {op.bit: labels[i] for i, op in enumerate(ops) if op.bit is not None}
-    for i, op in enumerate(ops):
-        q, gate = op.qubits[0], op.gate._value_  # hashing a Gate member runs Python code
+def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: int, zero: int, free: int):
+    """Run valid ``ops`` once over every branch of a sparse state whose keys use
+    only the bits below ``base`` and whose register wires start zero or free
+    where the masks ``zero`` and ``free`` say, classical elsewhere; returns
+    (keys, amps, label bit of each measurement bit). Arrays may change in place."""
+    # Sound: each key that an op makes keeps its source key's label bits and its
+    # value on every wire the op does not write, so a function of the labels stays one.
+    labels, bit_label = _event_bits(ops, base)
+    for i, op in enumerate(ops):  # hashing a Gate member runs Python code: read _value_
+        q, wire, gate = op.qubits[0], 1 << op.qubits[-1], op.gate._value_  # wire: the one it writes
         care = want = 0  # the op acts on the entries whose keys & care == want
         if op.condition is not None:
             care = 1 << bit_label[op.condition[0]]
             want = care * op.condition[1]
         split, phase = _SPLITS.get(gate), _PHASES.get(gate)
-        wires = (1 << q) | (1 << op.qubits[-1])
         if op.bit is not None:  # MEASURE copies its wire into its label
-            keys |= (keys & (1 << q)) << (labels[i] - q)
-        elif split is not None and not care:
-            keys, amps = _split(keys, amps, q, split)
-        elif split is not None:  # split where the op fires, pass the rest through
-            fires = (keys & care) == want
-            k, a = _split(keys[fires], amps[fires], q, split)
-            keys, amps = np.concatenate((keys[~fires], k)), np.concatenate((amps[~fires], a))
-        elif phase is not None:  # where every wire holds 1
-            np.multiply(amps, phase, out=amps, where=(keys & (care | wires)) == (want | wires))
-        else:
-            if i in labels:  # RESET moves a 1 on its wire into its label
-                care, want, flip = care | wires, want | wires, wires | (1 << labels[i])
-            elif len(op.qubits) == 2:  # CX flips its target where its control holds 1
-                care, want, flip = care | (1 << q), want | (1 << q), 1 << op.qubits[1]
+            keys |= (keys & wire) << (labels[i] - q)
+            free &= ~wire
+        elif split is not None:
+            known = zero & wire, not free & wire  # the wire is zero, classical
+            if care:  # split where the op fires, pass the rest through
+                fires = (keys & care) == want
+                k, a, classical = _split(keys[fires], amps[fires], q, split, *known, False)
+                keys, amps = np.concatenate((keys[~fires], k)), np.concatenate((amps[~fires], a))
             else:
-                flip = wires
-            np.bitwise_xor(keys, flip, out=keys, where=(keys & care) == want if care else True)
-    return keys, amps, labels
+                keys, amps, classical = _split(keys, amps, q, split, *known, not free & ~wire)
+            zero, free = zero & ~wire, free & ~wire if classical else free | wire
+        elif phase is not None:  # where every wire holds 1
+            wires = (1 << q) | wire
+            np.multiply(amps, phase, out=amps, where=(keys & (care | wires)) == (want | wires))
+        else:  # X flips its wire; where wire q holds 1, CX its target and RESET its wire and label
+            src = 0 if gate == "x" else 1 << q
+            flip = wire | (1 << labels[i]) if i in labels else wire
+            if gate == "reset" and i not in labels:  # an echo: its wire holds its measurement's label
+                keys &= ~wire
+            elif care:
+                np.bitwise_xor(keys, flip, out=keys, where=(keys & (care | src)) == (want | src))
+            elif not src:
+                keys ^= wire
+            else:  # keys & src is 0 or 2^q: shift it onto flip
+                held = keys & src
+                keys ^= held >> (q - op.qubits[-1]) if flip < src else held * (flip >> q)
+            if gate == "reset" and not care:
+                zero, free = zero | wire, free & ~wire
+            elif gate != "reset" and not zero & src:  # X, or CX from a wire that is not zero
+                zero, free = zero & ~wire, free | wire if free & src else free
+    return keys, amps, bit_label
 
 
 def basis_inputs(wires) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,7 +213,9 @@ def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.
     require_valid(circuit)
     n = circuit.qubit_count
     width = n + int(inputs.max(initial=0)).bit_length()
-    keys, amps, labels = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width)
+    wires = int(np.bitwise_or.reduce(basis))  # set by some input key; classical if one key each
+    free = 0 if (inputs[1:] > inputs[:-1]).all() else wires
+    keys, amps, bit_label = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width, ~wires, free)
     order = np.argsort(keys, kind="stable")
     keys, amps = keys[order], amps[order]
     weights = amps.real ** 2 + amps.imag ** 2
@@ -193,7 +226,7 @@ def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.
         keys, amps = keys[keep], amps[keep]
     new = run_starts(keys >> width)
     starts = np.flatnonzero(new)
-    measured = np.array([labels[i] for i, op in enumerate(circuit.ops) if op.bit is not None], np.int64)
+    measured = np.array(list(bit_label.values()), np.int64)
     outcomes = list(map(tuple, ((keys[starts, None] >> measured) & 1).tolist()))
     history = np.cumsum(new) - 1
     return history, (keys >> n) & ((1 << (width - n)) - 1), keys & ((1 << n) - 1), amps, outcomes, starts

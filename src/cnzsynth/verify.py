@@ -150,15 +150,15 @@ def check_implements(
         missing = np.setdiff1d(support, position[owner == h], assume_unique=True)
         deviation[h] = max(deviation[h], abs(scalar[h]) * np.abs(target.flat[missing]).max())
 
-    # visible outcomes -> (|c|^2, phase, deviation) of each history, depth-first
-    groups: dict[tuple[int, ...], list[tuple[float, complex, float]]] = {}
+    # visible outcomes -> [sum of |c|^2, first phase, max deviation] over its histories, depth-first
+    groups: dict[tuple[int, ...], list] = {}
     for visible, c, big, dev in zip(outcomes, scalar.tolist(), largest.tolist(), deviation.tolist()):
-        fit = (abs(c) ** 2, c / abs(c) if c else complex(1), dev)
-        groups.setdefault(visible, []).append(fit if big > tolerance else (0.0, complex(1), big))
-    reports = tuple(
-        BranchReport(visible, sum(h[0] for h in group), group[0][1], max(h[2] for h in group))
-        for visible, group in sorted(groups.items())
-    )
+        if big <= tolerance:  # K_h ~ 0: no phase to fit
+            c, dev = 0j, big
+        group = groups.setdefault(visible, [0.0, c / abs(c) if c else complex(1), dev])
+        group[0] += abs(c) ** 2
+        group[2] = max(group[2], dev)
+    reports = tuple(BranchReport(visible, *group) for visible, group in sorted(groups.items()))
     probability_total = sum(r.probability for r in reports)
     passed = (ancilla_clean and all(r.max_deviation <= tolerance for r in reports)
               and abs(probability_total - 1.0) <= tolerance)

@@ -107,11 +107,22 @@ def test_verify_rejects_malformed_quirk_json(capsys):
     assert stderr.startswith("error: malformed circuit JSON")
 
 
+def test_verify_rejects_quirk_wire_not_starting_in_zero(capsys):
+    # Quirk would start wire 0 in |1>; the IR starts every wire in |0>
+    url = 'https://algassert.com/quirk#circuit={"cols":[["H"]],"init":[1]}'
+    code, stdout, stderr = run(capsys, "verify", "--in", url, "--against", "cnz:1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: malformed circuit JSON: 'init'")
+
+
 def test_verify_rejects_circuit_wider_than_the_key(tmp_path, capsys):
-    # 22 qubits + 2 input label bits + 40 measurement and reset labels > 62
+    # 22 qubits + 2 input label bits + 40 measurement and reset labels > 62; the X
+    # between them keeps each reset from echoing its measurement, so each takes a label
     bld = CircuitBuilder(22, (0, 1))
     for q in range(2, 22):
         bld.measure(q)
+        bld.x(q)
         bld.reset(q)
     path = tmp_path / "wide.qct"
     path.write_text(emit_text(bld.build()))

@@ -233,7 +233,8 @@ def test_parse_quirk_rejects_malformed_json():
     for payload in ("%7Bnope", urllib.parse.quote('{"cols":[],"gates":5}', safe=""),
                     urllib.parse.quote('{"gates":[{"id":[1]}]}', safe=""),
                     urllib.parse.quote('{"cols":[[true,"H"]]}', safe=""),
-                    urllib.parse.quote('{"cols":[[1.0,"H"]]}', safe="")):
+                    urllib.parse.quote('{"cols":[[1.0,"H"]]}', safe=""),
+                    urllib.parse.quote('{"cols":[["H"]],"init":[1]}', safe="")):
         with pytest.raises(CodecError, match="malformed circuit JSON"):
             parse_quirk_url(QUIRK_URL_PREFIX + payload)
 

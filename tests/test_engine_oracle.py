@@ -126,13 +126,16 @@ def feedback_circuits(draw) -> Circuit:
     return circuit
 
 
-@settings(max_examples=200, deadline=None)
-@given(circuit=feedback_circuits(), seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_run_branches_matches_dense_oracle_on_random_circuits(circuit, seed):
-    # a random superposition over the data qubits, ancillas in |0>
+def superposed(circuit: Circuit, seed: int) -> np.ndarray:
+    """A random superposition over the data qubits, ancillas in |0>."""
     rng = np.random.default_rng(seed)
     state = np.zeros(1 << circuit.qubit_count, dtype=complex)
     for basis in data_inputs(circuit):
         state += (rng.normal() + 1j * rng.normal()) * basis
-    state /= np.linalg.norm(state)
-    assert_same_records(circuit, state)
+    return state / np.linalg.norm(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=feedback_circuits(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_run_branches_matches_dense_oracle_on_random_circuits(circuit, seed):
+    assert_same_records(circuit, superposed(circuit, seed))

@@ -252,13 +252,21 @@ def count_numpy_calls(monkeypatch, *names: str) -> CountingNumpy:
     (3, Method.BASELINE, 3), (3, Method.OPTIMIZED, 1),
     (4, Method.BASELINE, 4), (4, Method.OPTIMIZED, 2),
     (5, Method.BASELINE, 5), (5, Method.OPTIMIZED, 3),
+    (6, Method.BASELINE, 6), (6, Method.OPTIMIZED, 4),
 ])
 def test_merging_splits_do_not_sort(monkeypatch, n, method, sorts):
     # Each AND's closing H (the CCCZ's closing √X†) finds its partners in the
-    # aligned halves that the opening split left. Only the measured uncompute's
-    # H, which has no partners, and the final history sort call argsort.
+    # aligned halves that the opening split left, and leaves the ancilla
+    # classical, so the measured uncompute's H splits in place: only the final
+    # history sort calls argsort. Not told that wires are classical, each
+    # uncompute's H sorts to learn that it has no partners: ``sorts`` in all.
     circuit = cccz_6t() if method is None else synth_cnz(CnZSpec(n), method)
     counting = count_numpy_calls(monkeypatch, "argsort")
+    assert check_implements(circuit, oracle_cnz(n)).passed
+    assert counting.calls == {"argsort": 1}
+    split = simulator._split
+    monkeypatch.setattr(simulator, "_split", lambda *args: split(*args[:5], False, args[6]))
+    counting.calls["argsort"] = 0
     assert check_implements(circuit, oracle_cnz(n)).passed
     assert counting.calls == {"argsort": sorts}
 

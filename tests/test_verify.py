@@ -25,6 +25,7 @@ from cnzsynth import (
     run_branches,
     synth_cnz,
 )
+from cnzsynth import simulator
 from test_simulator import count_numpy_calls, fifteen_rounds, five_rounds
 
 
@@ -224,10 +225,12 @@ def test_two_deleted_t_gates_fail_at_every_accepted_tolerance(tolerance):
 
 
 def measured_ancillas(qubit_count: int, measured: int) -> Circuit:
-    """Data qubits 0 and 1, then ``measured`` ancillas each measured and reset."""
+    """Data qubits 0 and 1, then ``measured`` ancillas each measured, flipped
+    and reset: the flip keeps the reset from echoing the measurement."""
     bld = CircuitBuilder(qubit_count, (0, 1))
     for q in range(2, 2 + measured):
         bld.measure(q)
+        bld.x(q)
         bld.reset(q)
     return bld.build()
 
@@ -239,6 +242,17 @@ def test_key_width_limit_is_62_bits():
     assert [r.outcomes for r in at_limit.branch_reports] == [(0,) * 19]
     with pytest.raises(SimulationError, match="62-bit"):
         check_implements(measured_ancillas(22, 20), np.eye(4))
+
+
+@pytest.mark.parametrize("n, bits, with_echoes", [(12, 48, 59), (13, 52, 64)])
+def test_echo_resets_take_no_key_bits(n, bits, with_echoes):
+    # register + input label bits + one label per ancilla measurement; each
+    # ancilla's reset echoes its measurement. Counted without simulating.
+    circuit = synth_cnz(CnZSpec(n), Method.BASELINE)
+    base = circuit.qubit_count + len(circuit.data_qubits)
+    labels, _ = simulator._event_bits(circuit.ops, base)
+    events = sum(not op.gate.is_unitary for op in circuit.ops)
+    assert (base + len(labels), base + events) == (bits, with_echoes)
 
 
 @pytest.mark.parametrize("method", list(Method))
