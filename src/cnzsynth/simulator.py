@@ -193,15 +193,6 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
     return keys, amps, bit_label
 
 
-def basis_inputs(wires) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``histories`` inputs for every basis state of ``wires``, the other wires
-    |0>: input x, its register index (wire wires[j] holds bit j of x) and 1."""
-    x = spread = np.arange(1 << len(wires), dtype=np.int64)  # wires 0..k-1, as synthesized
-    if list(wires) != list(range(len(wires))):
-        spread = (((x[:, None] >> np.arange(len(wires))) & 1) << np.array(wires, dtype=np.int64)).sum(1)
-    return x, spread, np.ones(len(x), dtype=complex)
-
-
 def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.ndarray):
     """Validate ``circuit``, run it once over entries (input label, register index,
     amplitude) and return per-entry (history, input, basis, amplitude) arrays sorted
@@ -268,8 +259,9 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-    n = circuit.qubit_count
-    _, column, row, amps, _, _ = histories(circuit, *basis_inputs(range(n)))
-    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    # input x is register index x; histories rejects a negative qubit count
+    x = np.arange(1 << max(circuit.qubit_count, 0), dtype=np.int64)
+    _, column, row, amps, _, _ = histories(circuit, x, x, np.ones(len(x), dtype=complex))
+    u = np.zeros((len(x), len(x)), dtype=complex)
     u[row, column] = amps
     return u

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .circuit import Circuit
-from .simulator import basis_inputs, histories, run_starts
+from .circuit import Circuit, Gate, remap_qubits
+from .simulator import histories, require_valid, run_starts
 
 DEFAULT_TOLERANCE = 1e-9
 #: A tolerance absorbs float rounding (~1e-15 here); one at or above this
@@ -110,15 +110,18 @@ def check_implements(
     del magnitude  # 4^d floats: held to the end, they made the n = 6 check refault heap pages
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
-    inputs, spread, ones = basis_inputs(data)
-    history, column, basis, amps, outcomes, runs = histories(circuit, inputs, spread, ones)
+    if data != list(range(len(data))):  # renumber: data on wires 0..d-1, the ancillas after them
+        require_valid(circuit)  # an invalid circuit reports its own qubit numbers
+        order = data + sorted(circuit.ancilla_qubits)
+        circuit = remap_qubits(circuit, {q: i for i, q in enumerate(order)})
+    inputs = np.arange(dim_data, dtype=np.int64)  # input x is register index x
+    history, column, basis, amps, outcomes, runs = histories(circuit, inputs, inputs, np.ones(dim_data, complex))
 
-    # ancillas end in |0>, or hold the outcome when their last op measured them
-    last = {q: i for i, op in enumerate(circuit.ops) for q in op.qubits}
-    held = [1 << q if last[q] == i and q not in data else 0  # per measurement
-            for i, op in enumerate(circuit.ops) if op.bit is not None for q in op.qubits]
-    expected = (np.array(outcomes, np.int64) @ np.array(held, np.int64))[history] if any(held) else 0
-    inside = (basis & sum(1 << q for q in circuit.ancilla_qubits)) == expected
+    # ancillas end in |0>; one whose last op measured it holds its outcome (MEASURE copies
+    # the wire into its label), so it is left out of the pattern
+    last = {q: op.gate for op in circuit.ops for q in op.qubits}
+    held = sum(1 << q for q, gate in last.items() if gate is Gate.MEASURE)
+    inside = (basis & (-dim_data & ~held)) == 0
     owner, col, ancilla_clean = history, column, True
     if not inside.all():  # entries form runs of one (history, input) within runs of one history
         weights = amps.real ** 2 + amps.imag ** 2
@@ -129,10 +132,7 @@ def check_implements(
         runs = np.flatnonzero(run_starts(owner))
 
     # each history's Kraus entries K_h[row, col] inside the ancilla pattern
-    row = basis & sum(1 << q for q in data)
-    if spread[-1] >= dim_data:  # data wires other than 0..d-1: rank their patterns
-        row = np.searchsorted(spread, row)
-    position = row * dim_data + col
+    position = (basis & (dim_data - 1)) * dim_data + col
     at = position == pivot
     scalar = np.zeros(len(outcomes), dtype=complex)
     scalar[owner[at]] = amps[at] / target.flat[pivot]
@@ -159,7 +159,7 @@ def check_implements(
         group[0] += abs(c) ** 2
         group[2] = max(group[2], dev)
     reports = tuple(BranchReport(visible, *group) for visible, group in sorted(groups.items()))
-    probability_total = sum(r.probability for r in reports)
+    probability_total = math.fsum(r.probability for r in reports)
     passed = (ancilla_clean and all(r.max_deviation <= tolerance for r in reports)
               and abs(probability_total - 1.0) <= tolerance)
     return ChannelVerdict(passed, reports, ancilla_clean, probability_total)

@@ -9,6 +9,7 @@ from cnzsynth import (
     CircuitError,
     Gate,
     Op,
+    Violation,
     cccz_6t,
     compose,
     remap_qubits,
@@ -78,6 +79,28 @@ def test_validate_measured_data_qubit_needs_reset():
     fixed = Circuit(
         1, 1, (Op(Gate.MEASURE, (0,), 0), Op(Gate.RESET, (0,))), frozenset({0}))
     assert validate(fixed) == []
+
+
+@pytest.mark.parametrize("circuit, violation", [
+    (Circuit(-1, 0, (), frozenset()), Violation(None, "negative qubit count")),
+    (Circuit(1, -1, (), frozenset()), Violation(None, "negative bit count")),
+    (empty(2, (0, 2)), Violation(None, "data qubit 2 out of range")),
+    (Circuit(2, 0, (Op(Gate.CX, (0,)),), frozenset({0, 1})),
+     Violation(0, "cx expects 2 operand(s), got 1")),
+    (Circuit(1, 1, (Op(Gate.MEASURE, (0,)),), frozenset()),
+     Violation(0, "measurement without a destination bit")),
+    (Circuit(1, 1, (Op(Gate.MEASURE, (0,), 3),), frozenset()), Violation(0, "bit 3 out of range")),
+    (Circuit(1, 1, (Op(Gate.H, (0,), 0),), frozenset({0})),
+     Violation(0, "destination bit on a non-measurement gate")),
+    (Circuit(2, 1, (Op(Gate.MEASURE, (1,), 0), Op(Gate.X, (0,), None, (0, 2))), frozenset({0})),
+     Violation(1, "condition value 2 not in {0,1}")),
+    (Circuit(1, 1, (Op(Gate.X, (0,), None, (5, 1)),), frozenset({0})),
+     Violation(0, "condition bit 5 out of range")),
+], ids=["negative-qubits", "negative-bits", "data-out-of-range", "arity", "measure-without-bit",
+        "measure-bit-out-of-range", "bit-on-non-measurement", "condition-value",
+        "condition-bit-out-of-range"])
+def test_validate_reports_each_violation(circuit, violation):
+    assert validate(circuit) == [violation]
 
 
 def test_validate_measured_ancilla_without_reset_is_fine():

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+import urllib.parse
 
 import pytest
 
 from cnzsynth import (
-    DEFAULT_TOLERANCE, Circuit, CircuitBuilder, Gate, cccz_6t, check_implements, emit_text,
-    parse_quirk_url, parse_text)
+    DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, Gate, cccz_6t, check_implements,
+    emit_text, parse_quirk_url, parse_text)
 from cnzsynth import cli
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
@@ -114,6 +115,39 @@ def test_verify_rejects_quirk_wire_not_starting_in_zero(capsys):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: malformed circuit JSON: 'init'")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("qubits 1\nqubits 2\n", "line 2: duplicate header 'qubits'"),
+    ("qubits\n", "line 1: usage: qubits <N>"),
+    ("bits 1 2\n", "line 1: usage: bits <M>"),
+    ("qubits 1\nh if b0==1 0\n", "line 2: condition must be the trailing 'if b<k>==0|1'"),
+    ("qubits 1\nbits 1\nm 0 -> b0 if b0==1\n", "line 3: condition on a measurement"),
+    ("qubits 2\ncx 0\n", "line 2: cx expects 2 operand(s)"),
+    ("qubits 1\ndata 3\n", "invalid circuit: circuit: data qubit 3 out of range"),
+], ids=["duplicate-header", "qubits-usage", "bits-usage", "misplaced-if", "condition-on-m",
+        "operand-count", "data-out-of-range"])
+def test_malformed_text_exits_2_with_one_error_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.qct"
+    path.write_text(doc, encoding="utf-8")
+    assert run(capsys, "count", "--in", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("[1]", "malformed circuit JSON: expected an object with a 'cols' list"),
+    ('{"cols":[5]}', "malformed circuit JSON: column is not a list"),
+    ('{"cols":[[2]]}', "unsupported column entry 2"),
+    ('{"cols":[["~x"]],"gates":[{"id":"~x","matrix":"{{0,1},{1,0}}"}]}', "unsupported gate id '~x'"),
+    ('{"cols":[["Measure","H"]]}', "unsupported column: measurement mixed with other operations"),
+    ('{"cols":[["Measure"],["Measure"]]}', "unsupported column: wire 0 measured twice"),
+    ('{"cols":[["Measure","Measure"],["•","•","X"]]}',
+     "unsupported column: more than one classical control"),
+    ('{"cols":[["Measure"],["H"]]}', "unsupported column: quantum gate on measured wire 0"),
+], ids=["not-an-object", "column-not-a-list", "non-string-entry", "custom-gate", "measure-mixed",
+        "measured-twice", "two-classical-controls", "gate-on-measured-wire"])
+def test_unsupported_quirk_url_exits_2_with_one_error_line(capsys, payload, message):
+    url = QUIRK_URL_PREFIX + urllib.parse.quote(payload, safe="")
+    assert run(capsys, "count", "--in", url) == (2, "", f"error: {message}\n")
 
 
 def test_verify_rejects_circuit_wider_than_the_key(tmp_path, capsys):

@@ -112,7 +112,7 @@ def dead_pairs(circuit: Circuit) -> int:
                  id="dead-pair-in-live-history"),
     # the all-zeros history weighs ~3e-13 on each of 4 inputs, 1.2e-12 in all: every pair is dead
     pytest.param(five_rounds(2), np.eye(4), {"cumsum": 2, "where": 0}, 0, id="dead-history"),
-    # data wires 1, 2, 3, 4 reach the verdict through basis_inputs' spread and its ranks
+    # data wires 1, 2, 3, 4: the verifier renumbers them to 0..3 and the ancilla to 4
     pytest.param(remap_qubits(cccz_6t(), {0: 4, 4: 0}), oracle_cnz(3), {"cumsum": 1, "where": 0}, 0,
                  id="remapped-data-wires"),
 ])

@@ -1,6 +1,7 @@
 """Tests for the channel checker and its brute-force oracles."""
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from cnzsynth import (
     check_phase_identity,
     compose,
     oracle_cnz,
+    remap_qubits,
     run_branches,
     synth_cnz,
 )
@@ -138,6 +140,48 @@ def test_check_implements_accepts_measured_out_unreset_ancilla():
     assert verdict.passed
 
 
+def test_measured_out_ancilla_on_wire_0_is_clean():
+    # data on wires 1..4: the verifier renumbers them to 0..3 and the ancilla to 4,
+    # and the measured-out mask must name the renumbered wire
+    ops = tuple(op for op in cccz_6t().ops if op.gate is not Gate.RESET)
+    bare = remap_qubits(Circuit(5, 1, ops, frozenset({0, 1, 2, 3})), {0: 4, 4: 0})
+    assert bare.data_qubits == {1, 2, 3, 4}
+    verdict = check_implements(bare, oracle_cnz(3))
+    assert verdict.passed
+    assert verdict.ancilla_clean
+
+
+@pytest.mark.parametrize("ancilla", [0, 1])
+def test_ancilla_used_after_its_measurement_is_not_clean(ancilla):
+    # its last op is a CX it controls, not the measurement: no reset follows, and
+    # it still holds its outcome, 1 in half of the branches
+    data = 1 - ancilla
+    bld = CircuitBuilder(2, (data,))
+    bld.h(ancilla)
+    bld.measure(ancilla)
+    bld.cx(ancilla, data)
+    verdict = check_implements(bld.build(), np.eye(2))
+    assert verdict.ancilla_clean is False
+    assert verdict.passed is False
+
+
+@pytest.mark.parametrize("circuit, message", [
+    (Circuit(3, 0, (Op(Gate.H, (5,)),), frozenset({1})), "op 0: qubit 5 out of range"),
+    (Circuit(3, 0, (), frozenset({1, 7})), "circuit: data qubit 7 out of range"),
+    (Circuit(3, 1, (Op(Gate.X, (0,), None, (0, 1)), Op(Gate.MEASURE, (2,), 0)), frozenset({1})),
+     "op 0: condition on bit 0 precedes its write"),
+    (Circuit(3, 1, (Op(Gate.MEASURE, (2,), 0),), frozenset({2})),
+     "circuit: data qubit 2 is measured and never reset"),
+], ids=["operand-out-of-range", "data-qubit-out-of-range", "condition-before-write",
+        "measured-data-qubit"])
+def test_invalid_circuit_with_data_off_the_low_wires_keeps_its_error(circuit, message):
+    # the verifier renumbers data wires onto 0..d-1 only once the circuit is valid,
+    # so the error names the caller's own qubits
+    with pytest.raises(SimulationError) as raised:
+        check_implements(circuit, np.eye(1 << len(circuit.data_qubits)))
+    assert str(raised.value) == "invalid circuit: " + message
+
+
 def test_check_implements_accepts_z_and_rejects_identity_for_z():
     circuit = CircuitBuilder(1, (0,)).z(0).build()
     assert check_implements(circuit, np.diag([1, -1])).passed
@@ -208,6 +252,20 @@ def test_deleted_t_is_wrong_but_leaves_ancillas_clean():
     verdict = check_implements(without_ops(circuit, 12), oracle_cnz(3))
     assert verdict.passed is False
     assert verdict.ancilla_clean is True
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_probability_total_is_correctly_rounded(n, method):
+    verdict = check_implements(synth_cnz(CnZSpec(n), method), oracle_cnz(n))
+    assert verdict.probability_total == math.fsum(r.probability for r in verdict.branch_reports)
+
+
+def test_probability_total_does_not_depend_on_the_interpreter():
+    # a left-to-right float sum of these 8 reports gives 0.9999999999999984, as
+    # sum() does before Python 3.12; from 3.12 on sum() compensates
+    verdict = check_implements(synth_cnz(CnZSpec(4), Method.BASELINE), oracle_cnz(4))
+    assert repr(verdict.probability_total) == "0.9999999999999986"
 
 
 @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), 0.0, -1.0, 1e-3, 0.5])
