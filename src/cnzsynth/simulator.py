@@ -14,11 +14,10 @@ MAX_KEY_BITS bits; a wider circuit raises SimulationError. ``histories`` is
 the only reader of this key layout: ``run_branches``, ``unitary_of`` and the
 verifier all read its table of (history, input, basis, amplitude) entries.
 
-The pass knows each register wire as zero (0 in every key), classical (a
-function of the label bits, so no key's partner on it is present) or free: a
-split finds which keys set a wire only if it is not zero, and pairs them
-only if it is free. An echo, an unconditioned RESET whose wire still holds
-its last MEASURE's outcome, takes no label bit: it just clears the wire.
+The pass knows each register wire as classical (a function of the label bits,
+so no key's partner on it is present) or free, and a split pairs keys only on
+a free wire. An echo, an unconditioned RESET whose wire still holds its last
+MEASURE's outcome, takes no label bit: it just clears the wire.
 
 Conventions, pinned for the codec and verifier:
   - qubit 0 is the least-significant bit of the basis-state index;
@@ -115,18 +114,16 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([True], values[1:] != values[:-1]))
 
 
-def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray, zero, classical, settle):
+def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray, classical, settle):
     """Apply a mixing gate ``u`` (H, √X or √X†) on wire ``q`` to distinct keys,
     pairing k with k ^ 2^q; returns (keys, amps, whether the wire is classical).
-    A ``zero`` or ``classical`` wire has no partners: every entry splits in
-    place. When the second half of the entries holds the partners of the first,
-    in order, each pair merges in place: an earlier split on the wire leaves
-    them so, and X, CX and diagonal gates keep entries where they are. Any other
-    layout sorts to find the pairs. A merge leaves the wire classical when each
-    pair keeps one entry and, by ``settle``, no other wire is free."""
+    A ``classical`` wire has no partners: every entry splits in place. When the
+    second half of the entries holds the partners of the first, in order, each
+    pair merges in place: an earlier split on the wire leaves them so, and X, CX
+    and diagonal gates keep entries where they are. Any other layout sorts to
+    find the pairs. A merge leaves the wire classical when each pair keeps one
+    entry and, by ``settle``, no other wire is free."""
     mask, n = 1 << q, len(keys)
-    if zero:
-        return np.concatenate((keys, keys | mask)), np.multiply.outer(u[:, 0], amps).ravel(), False
     lo = keys & ~mask
     to = u.take((keys != lo).view(np.int8), axis=1) * amps  # each entry's share of |0>, |1>
     if not classical and n % 2 == 0 and (lo[:n // 2] == lo[n // 2:]).all():
@@ -144,11 +141,11 @@ def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray, zero, clas
     return keys[keep], amps[keep], settle and bool((keep[:len(lo)] != keep[len(lo):]).all())
 
 
-def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: int, zero: int, free: int):
+def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: int, free: int):
     """Run valid ``ops`` once over every branch of a sparse state whose keys use
-    only the bits below ``base`` and whose register wires start zero or free
-    where the masks ``zero`` and ``free`` say, classical elsewhere; returns
-    (keys, amps, label bit of each measurement bit). Arrays may change in place."""
+    only the bits below ``base`` and whose register wires start free where the
+    mask ``free`` says, classical elsewhere; returns (keys, amps, label bit of
+    each measurement bit). Arrays may change in place."""
     # Sound: each key that an op makes keeps its source key's label bits and its
     # value on every wire the op does not write, so a function of the labels stays one.
     labels, bit_label = _event_bits(ops, base)
@@ -163,14 +160,13 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
             keys |= (keys & wire) << (labels[i] - q)
             free &= ~wire
         elif split is not None:
-            known = zero & wire, not free & wire  # the wire is zero, classical
             if care:  # split where the op fires, pass the rest through
                 fires = (keys & care) == want
-                k, a, classical = _split(keys[fires], amps[fires], q, split, *known, False)
+                k, a, classical = _split(keys[fires], amps[fires], q, split, not free & wire, False)
                 keys, amps = np.concatenate((keys[~fires], k)), np.concatenate((amps[~fires], a))
             else:
-                keys, amps, classical = _split(keys, amps, q, split, *known, not free & ~wire)
-            zero, free = zero & ~wire, free & ~wire if classical else free | wire
+                keys, amps, classical = _split(keys, amps, q, split, not free & wire, not free & ~wire)
+            free = free & ~wire if classical else free | wire
         elif phase is not None:  # where every wire holds 1
             wires = (1 << q) | wire
             np.multiply(amps, phase, out=amps, where=(keys & (care | wires)) == (want | wires))
@@ -187,26 +183,25 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
                 held = keys & src
                 keys ^= held >> (q - op.qubits[-1]) if flip < src else held * (flip >> q)
             if gate == "reset" and not care:
-                zero, free = zero | wire, free & ~wire
-            elif gate != "reset" and not zero & src:  # X, or CX from a wire that is not zero
-                zero, free = zero & ~wire, free | wire if free & src else free
+                free &= ~wire
+            elif free & src:  # a CX from a free control; X has none, a RESET's is its own wire
+                free |= wire
     return keys, amps, bit_label
 
 
 def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.ndarray):
-    """Validate ``circuit``, run it once over entries (input label, register index,
+    """Run valid ``circuit`` once over entries (input label, register index,
     amplitude) and return per-entry (history, input, basis, amplitude) arrays sorted
     in that order, each history's visible outcomes in measurement order and the
     offset of each history's first entry. A history is one full run of events,
     hidden reset outcomes included. Each (history, input) pair of squared norm
     below PRUNE_THRESHOLD is dropped, as a walk from that input drops its branch;
     the histories left with a pair are numbered 0..H-1 depth-first."""
-    require_valid(circuit)
     n = circuit.qubit_count
     width = n + int(inputs.max(initial=0)).bit_length()
-    wires = int(np.bitwise_or.reduce(basis))  # set by some input key; classical if one key each
-    free = 0 if (inputs[1:] > inputs[:-1]).all() else wires
-    keys, amps, bit_label = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width, ~wires, free)
+    # one key per input label: every wire is classical; else a wire some key sets is free
+    free = 0 if (inputs[1:] > inputs[:-1]).all() else int(np.bitwise_or.reduce(basis))
+    keys, amps, bit_label = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width, free)
     order = np.argsort(keys, kind="stable")
     keys, amps = keys[order], amps[order]
     weights = amps.real ** 2 + amps.imag ** 2
@@ -233,6 +228,7 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     records with the same ``outcomes``. The input must be finite and
     normalized, with its ancilla qubits in |0>.
     """
+    require_valid(circuit)
     n = circuit.qubit_count
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
@@ -259,8 +255,8 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-    # input x is register index x; histories rejects a negative qubit count
-    x = np.arange(1 << max(circuit.qubit_count, 0), dtype=np.int64)
+    require_valid(circuit)
+    x = np.arange(1 << circuit.qubit_count, dtype=np.int64)  # input x is register index x
     _, column, row, amps, _, _ = histories(circuit, x, x, np.ones(len(x), dtype=complex))
     u = np.zeros((len(x), len(x)), dtype=complex)
     u[row, column] = amps

@@ -110,8 +110,8 @@ def check_implements(
     del magnitude  # 4^d floats: held to the end, they made the n = 6 check refault heap pages
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
+    require_valid(circuit)  # before renumbering, so an invalid circuit reports its own qubit numbers
     if data != list(range(len(data))):  # renumber: data on wires 0..d-1, the ancillas after them
-        require_valid(circuit)  # an invalid circuit reports its own qubit numbers
         order = data + sorted(circuit.ancilla_qubits)
         circuit = remap_qubits(circuit, {q: i for i, q in enumerate(order)})
     inputs = np.arange(dim_data, dtype=np.int64)  # input x is register index x

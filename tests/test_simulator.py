@@ -166,6 +166,18 @@ def test_run_branches_rejects_invalid_circuit():
         run_branches(broken, basis(2, 0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda circuit: run_branches(circuit, np.ones(1)),
+    unitary_of,
+    lambda circuit: check_implements(circuit, np.eye(1)),
+], ids=["run_branches", "unitary_of", "check_implements"])
+def test_negative_qubit_count_is_an_invalid_circuit(call):
+    # each public call validates the circuit before it sizes a state by its qubit count
+    with pytest.raises(SimulationError) as raised:
+        call(Circuit(-1, 0, (), frozenset()))
+    assert str(raised.value) == "invalid circuit: circuit: negative qubit count"
+
+
 def test_reset_returns_wire_to_zero_without_recording():
     bld = CircuitBuilder(1, ())
     bld.h(0)
@@ -248,24 +260,26 @@ def count_numpy_calls(monkeypatch, *names: str) -> CountingNumpy:
 
 
 @pytest.mark.parametrize("n, method, sorts", [
-    (3, None, 1),  # the 6-T CCCZ
-    (3, Method.BASELINE, 3), (3, Method.OPTIMIZED, 1),
-    (4, Method.BASELINE, 4), (4, Method.OPTIMIZED, 2),
-    (5, Method.BASELINE, 5), (5, Method.OPTIMIZED, 3),
-    (6, Method.BASELINE, 6), (6, Method.OPTIMIZED, 4),
+    (3, None, 2),  # the 6-T CCCZ
+    (3, Method.BASELINE, 5), (3, Method.OPTIMIZED, 2),
+    (4, Method.BASELINE, 7), (4, Method.OPTIMIZED, 4),
+    (5, Method.BASELINE, 9), (5, Method.OPTIMIZED, 6),
+    (6, Method.BASELINE, 11), (6, Method.OPTIMIZED, 8),
 ])
 def test_merging_splits_do_not_sort(monkeypatch, n, method, sorts):
+    # Each opening H meets a classical ancilla (it holds 0) and splits in place.
     # Each AND's closing H (the CCCZ's closing √X†) finds its partners in the
     # aligned halves that the opening split left, and leaves the ancilla
     # classical, so the measured uncompute's H splits in place: only the final
     # history sort calls argsort. Not told that wires are classical, each
-    # uncompute's H sorts to learn that it has no partners: ``sorts`` in all.
+    # opening and each uncompute H sorts to learn that it has no partners:
+    # ``sorts`` in all.
     circuit = cccz_6t() if method is None else synth_cnz(CnZSpec(n), method)
     counting = count_numpy_calls(monkeypatch, "argsort")
     assert check_implements(circuit, oracle_cnz(n)).passed
     assert counting.calls == {"argsort": 1}
     split = simulator._split
-    monkeypatch.setattr(simulator, "_split", lambda *args: split(*args[:5], False, args[6]))
+    monkeypatch.setattr(simulator, "_split", lambda *args: split(*args[:4], False, args[5]))
     counting.calls["argsort"] = 0
     assert check_implements(circuit, oracle_cnz(n)).passed
     assert counting.calls == {"argsort": sorts}

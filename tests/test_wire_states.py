@@ -1,16 +1,17 @@
 """Soundness of the wire states and echo resets of the labeled pass.
 
-``labeled_pass`` tells ``_split`` when a wire is zero (no key sets it) or
-classical (a function of the label bits, so no key's partner on the wire is
-present), and the split then skips the pairing. ``checked_splits`` checks
-each such claim against the keys themselves, with a sort, while the engine
-runs random and hand-built circuits; every result is also compared with the
-dense oracle. An echo reset takes no label bit, so a wrongly found echo shows
-as a different label count here and as a different result there.
+``labeled_pass`` tells ``_split`` when a wire is classical (a function of the
+label bits, so no key's partner on the wire is present), and the split then
+skips the pairing. ``checked_splits`` checks each such claim against the keys
+themselves, with a sort, while the engine runs random, hand-built and every
+small circuit; every result, or a seeded sample of them, is also compared
+with the dense oracle. An echo reset takes no label bit, so a wrongly found
+echo shows as a different label count here and as a different result there.
 """
 from __future__ import annotations
 
 import contextlib
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnzsynth import (
-    Circuit, CircuitBuilder, CnZSpec, Method, cccz_6t, check_implements, oracle_cnz, synth_cnz)
+    Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t, check_implements, oracle_cnz, synth_cnz)
 from cnzsynth import simulator
 from test_engine_oracle import assert_same_records, data_inputs, feedback_circuits, superposed
 from test_verdict_oracle import assert_same_verdicts
@@ -26,23 +27,20 @@ from test_verdict_oracle import assert_same_verdicts
 
 @contextlib.contextmanager
 def checked_splits(n: int):
-    """Check every zero and classical claim the pass makes on an ``n``-qubit
-    register; yields their counts."""
-    claims = {"zero": 0, "classical": 0}
+    """Check every classical claim the pass makes on an ``n``-qubit register;
+    yields their count."""
+    claims = {"classical": 0}
     split = simulator._split
 
-    def checked(keys, amps, q, u, zero, classical, settle):
-        if zero:
-            assert not (keys & (1 << q)).any(), f"a key sets 'zero' wire {q}"
-            claims["zero"] += 1
-        elif classical:
+    def checked(keys, amps, q, u, classical, settle):
+        if classical:
             pairs = np.sort(keys & ~(1 << q))
             assert (pairs[1:] != pairs[:-1]).all(), f"'classical' wire {q} has partners"
             labels = keys >> n
             assert len(np.unique(labels)) == len(np.unique(labels << 1 | (keys >> q) & 1)), \
                 f"'classical' wire {q} is not a function of the labels"
             claims["classical"] += 1
-        return split(keys, amps, q, u, zero, classical, settle)
+        return split(keys, amps, q, u, classical, settle)
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(simulator, "_split", checked)
@@ -123,8 +121,52 @@ def test_hand_built_wire_states_match_dense_oracle(circuit, events, echoes):
     assert_matches_dense_oracle(circuit)
 
 
-def test_ladders_claim_zero_and_classical_wires():
-    # each AND's opening H meets a zero ancilla, each uncompute's H a classical one
-    with checked_splits(8) as claims:
-        assert check_implements(synth_cnz(CnZSpec(4), Method.BASELINE), oracle_cnz(4)).passed
-    assert claims == {"zero": 3, "classical": 3}
+@pytest.mark.parametrize("n, method, splits", [
+    (3, Method.BASELINE, 4), (3, Method.OPTIMIZED, 1),
+    (4, Method.BASELINE, 6), (4, Method.OPTIMIZED, 3),
+    (5, Method.BASELINE, 8), (5, Method.OPTIMIZED, 5),
+    (6, Method.BASELINE, 10), (6, Method.OPTIMIZED, 7),
+])
+def test_ladders_claim_classical_wires(n, method, splits):
+    # each opening H meets a classical ancilla (it holds 0), and so does each
+    # measured uncompute's H (it holds the AND); the closing H of an AND merges
+    circuit = synth_cnz(CnZSpec(n), method)
+    with checked_splits(circuit.qubit_count) as claims:
+        assert check_implements(circuit, oracle_cnz(n)).passed
+    assert claims == {"classical": splits}
+
+
+#: The small scope: H on any wire and CX on any ordered pair, 3 qubits, data {0, 1}.
+SMALL_OPS = [Op(Gate.H, (q,)) for q in range(3)] + [Op(Gate.CX, pair) for pair in permutations(range(3), 2)]
+
+
+def small_circuits(length: int = 5) -> list[Circuit]:
+    """Every circuit of ``length`` ops over SMALL_OPS, up to the swap of the two
+    data qubits: of a circuit and its swapped image, the one whose op indices
+    come first in order. The swap only renames the data qubits, so a fault
+    that does not hinge on which is which still shows on the half kept."""
+    swap = (1, 0, 2)
+    image = [SMALL_OPS.index(Op(op.gate, tuple(swap[q] for q in op.qubits))) for op in SMALL_OPS]
+    return [Circuit(3, 0, tuple(SMALL_OPS[i] for i in seq), frozenset({0, 1}))
+            for seq in product(range(len(SMALL_OPS)), repeat=length)
+            if seq <= tuple(image[i] for i in seq)]
+
+
+def test_every_small_circuit_makes_sound_claims():
+    # the small-scope hypothesis (Andoni et al., 2002): a fault in the wire
+    # rules shows on some small circuit; ``h 0; cx 0 1; h 0; h 0; h 0`` is the
+    # smallest that catches a merge settled while another wire is free
+    circuits = small_circuits()
+    assert len(circuits) == (9 ** 5 + 1) // 2  # only h 2 ×5 is its own image
+    x = np.arange(4, dtype=np.int64)
+    with checked_splits(3) as claims:
+        for circuit in circuits:
+            simulator.histories(circuit, x, x, np.ones(4, complex))
+    assert claims == {"classical": 38328}
+
+
+def test_small_circuits_match_dense_oracle():
+    rng = np.random.default_rng(12)
+    circuits = small_circuits()
+    for i in rng.choice(len(circuits), size=100, replace=False):
+        assert_matches_dense_oracle(circuits[i], int(i))
