@@ -90,8 +90,9 @@ def check_implements(
     raises ``ValueError``.
 
     ``histories`` has already dropped the negligible (history, input) pairs;
-    the verdict prunes nothing. It weighs each pair's ancilla leak only when
-    some entry lies outside the ancilla pattern.
+    the verdict prunes nothing. Entries outside the ancilla pattern are zeroed
+    in place once each pair's leak is weighed: every reduction, the linear
+    lacking-nonzero pass too, runs over the history runs as returned.
     """
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
@@ -104,10 +105,10 @@ def check_implements(
             f"target dimension {target.shape} does not match "
             f"{len(data)} data qubits (expected {(dim_data, dim_data)})")
     magnitude = np.abs(target)
-    if not np.isfinite(magnitude).all():
-        raise ValueError("target entries must be finite")
     pivot, nonzeros = int(np.argmax(magnitude)), np.count_nonzero(magnitude)
     del magnitude  # 4^d floats: held to the end, they made the n = 6 check refault heap pages
+    if not np.isfinite(target.flat[pivot]):  # argmax stops at the first NaN, else at an infinity
+        raise ValueError("target entries must be finite")
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
     require_valid(circuit)  # before renumbering, so an invalid circuit reports its own qubit numbers
@@ -116,38 +117,36 @@ def check_implements(
         circuit = remap_qubits(circuit, {q: i for i, q in enumerate(order)})
     inputs = np.arange(dim_data, dtype=np.int64)  # input x is register index x
     history, column, basis, amps, outcomes, runs = histories(circuit, inputs, inputs, np.ones(dim_data, complex))
+    # each history's Kraus entries K_h[row, col], and the target's U[row, col]
+    position = (basis & (dim_data - 1)) * dim_data + column
+    wanted = np.take(target, position)
 
     # ancillas end in |0>; one whose last op measured it holds its outcome (MEASURE copies
     # the wire into its label), so it is left out of the pattern
     last = {q: op.gate for op in circuit.ops for q in op.qubits}
     held = sum(1 << q for q, gate in last.items() if gate is Gate.MEASURE)
-    inside = (basis & (-dim_data & ~held)) == 0
-    owner, col, ancilla_clean = history, column, True
-    if not inside.all():  # entries form runs of one (history, input) within runs of one history
+    outside = (basis & (-dim_data & ~held)) != 0
+    ancilla_clean = True
+    if outside.any():  # entries form runs of one (history, input) within runs of one history
         weights = amps.real ** 2 + amps.imag ** 2
         pairs = np.flatnonzero(run_starts(history) | run_starts(column))
-        off = np.add.reduceat(np.where(inside, 0.0, weights), pairs)
+        off = np.add.reduceat(np.where(outside, weights, 0.0), pairs)
         ancilla_clean = not (off > tolerance ** 2 * np.add.reduceat(weights, pairs)).any()
-        amps, owner, col, basis = amps[inside], history[inside], column[inside], basis[inside]
-        runs = np.flatnonzero(run_starts(owner))
+        amps[outside], wanted[outside], position[outside] = 0, 0, -1  # no part of any K_h
 
-    # each history's Kraus entries K_h[row, col] inside the ancilla pattern
-    position = (basis & (dim_data - 1)) * dim_data + col
     at = position == pivot
     scalar = np.zeros(len(outcomes), dtype=complex)
-    scalar[owner[at]] = amps[at] / target.flat[pivot]
+    scalar[history[at]] = amps[at] / target.flat[pivot]
     # max |K_h - c_h U| over the leaf's entries, then over the target's nonzeros it lacks
-    wanted = np.take(target, position)
-    largest, deviation, present = np.zeros((3, len(outcomes)))
-    if len(owner):  # a run of entries per history
-        lead = owner[runs]
-        largest[lead] = np.maximum.reduceat(np.abs(amps), runs)
-        deviation[lead] = np.maximum.reduceat(np.abs(amps - scalar[owner] * wanted), runs)
-        present[lead] = np.add.reduceat(wanted != 0, runs, dtype=np.intp)
+    largest = np.maximum.reduceat(np.abs(amps), runs)
+    deviation = np.maximum.reduceat(np.abs(amps - scalar[history] * wanted), runs)
+    present = np.add.reduceat(wanted != 0, runs, dtype=np.intp)
     lacking = np.flatnonzero((present < nonzeros) & (scalar != 0))
-    support = np.flatnonzero(target) if len(lacking) else None
-    for h in lacking:
-        missing = np.setdiff1d(support, position[owner == h], assume_unique=True)
+    if len(lacking):
+        support, ends = np.flatnonzero(target), np.append(runs[1:], len(position))
+    for h in lacking:  # its entries at target nonzeros: distinct, as setdiff1d assumes
+        run = slice(runs[h], ends[h])
+        missing = np.setdiff1d(support, position[run][wanted[run] != 0], assume_unique=True)
         deviation[h] = max(deviation[h], abs(scalar[h]) * np.abs(target.flat[missing]).max())
 
     # visible outcomes -> [sum of |c|^2, first phase, max deviation] over its histories, depth-first

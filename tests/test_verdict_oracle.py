@@ -15,6 +15,8 @@ import dense_oracle
 from cnzsynth import (
     Circuit,
     CircuitBuilder,
+    CnZSpec,
+    Method,
     and_compute,
     and_uncompute,
     cccz_6t,
@@ -22,10 +24,11 @@ from cnzsynth import (
     compose,
     oracle_cnz,
     remap_qubits,
+    synth_cnz,
 )
 from test_engine_oracle import data_inputs, feedback_circuits, named_circuits
 from test_simulator import count_numpy_calls, five_rounds
-from test_verify import then_h_reset
+from test_verify import then_h_reset, without_ops
 
 TOL = 1e-12
 
@@ -106,6 +109,10 @@ def dead_pairs(circuit: Circuit) -> int:
 @pytest.mark.parametrize("circuit, target, calls, dead", [
     # the compute leaves the ancilla holding a AND b: only the leak sums run
     pytest.param(and_compute(0, 1, 2), np.eye(4), {"cumsum": 1, "where": 1}, 0, id="dirty-ancilla"),
+    # the ancilla ends in |+>: each input's entry outside the pattern has the row and
+    # column of its entry inside it, the pivot's too, and is no part of K_h
+    pytest.param(CircuitBuilder(2, (0,)).h(1).build(), np.eye(2), {"cumsum": 1, "where": 1}, 0,
+                 id="ancilla-left-in-plus"),
     # input 0's all-zeros run and input 1's all-ones run weigh ~3e-13 each, inside
     # histories the other input keeps live: histories prunes the pairs, nothing leaks
     pytest.param(five_rounds(1, entangle=True), np.eye(2), {"cumsum": 2, "where": 0}, 2,
@@ -115,6 +122,11 @@ def dead_pairs(circuit: Circuit) -> int:
     # data wires 1, 2, 3, 4: the verifier renumbers them to 0..3 and the ancilla to 4
     pytest.param(remap_qubits(cccz_6t(), {0: 4, 4: 0}), oracle_cnz(3), {"cumsum": 1, "where": 0}, 0,
                  id="remapped-data-wires"),
+    # op 3, `cx 0 5` into the first AND's ancilla, deleted: each of the 8 histories
+    # reaches 30 or 18 of the 32 inputs, so each lacks target nonzeros and reads its
+    # own run of the table in one setdiff1d
+    pytest.param(without_ops(synth_cnz(CnZSpec(4), Method.BASELINE), 3), oracle_cnz(4),
+                 {"cumsum": 1, "where": 0, "setdiff1d": 8}, 64, id="lacking-target-nonzeros"),
 ])
 def test_each_verdict_path_matches_dense_reference(monkeypatch, circuit, target, calls, dead):
     with monkeypatch.context() as patched:

@@ -6,12 +6,15 @@ skips the pairing. ``checked_splits`` checks each such claim against the keys
 themselves, with a sort, while the engine runs random, hand-built and every
 small circuit; every result, or a seeded sample of them, is also compared
 with the dense oracle. An echo reset takes no label bit, so a wrongly found
-echo shows as a different label count here and as a different result there.
+echo shows as a different label count here, as a repeated entry in the
+history table and as a different result there.
 """
 from __future__ import annotations
 
 import contextlib
-from itertools import permutations, product
+import functools
+from dataclasses import replace
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnzsynth import (
-    Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t, check_implements, oracle_cnz, synth_cnz)
+    Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t, check_implements, oracle_cnz, synth_cnz,
+    validate)
 from cnzsynth import simulator
 from test_engine_oracle import assert_same_records, data_inputs, feedback_circuits, superposed
 from test_verdict_oracle import assert_same_verdicts
@@ -169,4 +173,65 @@ def test_small_circuits_match_dense_oracle():
     rng = np.random.default_rng(12)
     circuits = small_circuits()
     for i in rng.choice(len(circuits), size=100, replace=False):
+        assert_matches_dense_oracle(circuits[i], int(i))
+
+
+#: The feedback scope: H, X, T and RESET on any wire, CX on any ordered pair and CZ
+#: on any unordered one, each unconditioned or on any earlier bit and value, and
+#: MEASURE of any wire into the next bit; 3 qubits, data {0, 1}.
+FEEDBACK_OPS = ([Op(g, (q,)) for g in (Gate.H, Gate.X, Gate.T, Gate.RESET) for q in range(3)]
+                + [Op(Gate.CX, pair) for pair in permutations(range(3), 2)]
+                + [Op(Gate.CZ, pair) for pair in combinations(range(3), 2)])
+
+
+def next_feedback_ops(bits: int) -> list[Op]:
+    """Every op of the feedback scope after ``bits`` measurements."""
+    conditions = [None] + [(b, v) for b in range(bits) for v in (0, 1)]
+    return ([replace(op, condition=c) for op in FEEDBACK_OPS for c in conditions]
+            + [Op(Gate.MEASURE, (q,), bits) for q in range(3)])
+
+
+def swapped_data(op: Op) -> Op:
+    """``op`` with data qubits 0 and 1 swapped; a CZ keeps its pair in order."""
+    qubits = tuple((1, 0, 2)[q] for q in op.qubits)
+    return replace(op, qubits=tuple(sorted(qubits)) if op.gate is Gate.CZ else qubits)
+
+
+@functools.cache
+def small_feedback_circuits(length: int = 3) -> tuple[Circuit, ...]:
+    """Every valid circuit of 1 to ``length`` ops over the feedback scope, up to
+    the swap of the two data qubits, as ``small_circuits`` keeps them."""
+    def rank(ops) -> list:
+        return [(op.gate.value, op.qubits, op.condition or ()) for op in ops]
+
+    out, level = [], [((), 0)]
+    for _ in range(length):
+        level = [(ops + (op,), bits + (op.gate is Gate.MEASURE))
+                 for ops, bits in level for op in next_feedback_ops(bits)]
+        out += [Circuit(3, bits, ops, frozenset({0, 1})) for ops, bits in level
+                if rank(ops) <= rank(map(swapped_data, ops))]
+    return tuple(circuit for circuit in out if not validate(circuit))
+
+
+def test_every_small_feedback_circuit_makes_sound_claims():
+    # from every basis input (each wire starts classical, as the verifier starts) and
+    # from one superposed input (the data wires start free, as run_branches does);
+    # ``m 2; reset 1 if b0 == 1; h 1`` catches a conditioned reset taken as
+    # unconditioned. A wrongly found echo clears a wire that still holds either
+    # value, so an entry repeats in the table: ``m 2; h 2; reset 2`` shows it.
+    circuits = small_feedback_circuits()
+    assert len(circuits) == 8593
+    x = np.arange(4, dtype=np.int64)
+    with checked_splits(3) as claims:
+        for circuit in circuits:
+            for inputs, amps in [(x, np.ones(4, complex)), (np.zeros_like(x), np.full(4, 0.5 + 0j))]:
+                history, column, basis, *_ = simulator.histories(circuit, inputs, x, amps)
+                assert ((np.diff(history) != 0) | (np.diff(column) != 0) | (np.diff(basis) != 0)).all()
+    assert claims == {"classical": 4010}
+
+
+def test_small_feedback_circuits_match_dense_oracle():
+    rng = np.random.default_rng(13)
+    circuits = small_feedback_circuits()
+    for i in rng.choice(len(circuits), size=150, replace=False):
         assert_matches_dense_oracle(circuits[i], int(i))
