@@ -3,7 +3,12 @@
 Synthesizes C^nZ circuits built from 4-T temporary ANDs, measurement-based
 uncomputation, and a 6-T feedback CCCZ core, and machine-checks them by
 exhaustive channel comparison against brute-force oracles.
+
+Importing the package loads circuit, simulator, synthesis and verify; a
+codec or count name imports its module on first use.
 """
+import importlib
+
 from .circuit import (
     Circuit,
     CircuitBuilder,
@@ -16,15 +21,6 @@ from .circuit import (
     remap_qubits,
     validate,
 )
-from .codec import (
-    CodecError,
-    QUIRK_URL_PREFIX,
-    emit_text,
-    export_quirk_url,
-    parse_quirk_url,
-    parse_text,
-)
-from .resources import ComparisonRow, ResourceCount, compare, count
 from .simulator import (
     BranchRecord,
     SimulationError,
@@ -81,3 +77,25 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: Public names whose module is imported on first use (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("CodecError", "QUIRK_URL_PREFIX", "emit_text", "export_quirk_url",
+                     "parse_quirk_url", "parse_text"), "codec"),
+    **dict.fromkeys(("ComparisonRow", "ResourceCount", "compare", "count"), "resources"),
+}
+
+
+def __getattr__(name):
+    try:
+        submodule = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # This package's own submodule first: after a re-import, import_module
+    # would return the new copy, whose classes are not this copy's.
+    module = globals().get(submodule) or importlib.import_module(f".{submodule}", __name__)
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

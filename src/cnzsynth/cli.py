@@ -180,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CodecError, CircuitError, SimulationError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a failed allocation inside Python raises MemoryError() with no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -152,6 +152,14 @@ def test_compose_is_associative():
     assert left == right
 
 
+def test_builder_sdg_appends_sdg_plain_and_conditioned():
+    bld = CircuitBuilder(2, (0,))
+    bld.measure(1)
+    circuit = bld.sdg(0).sdg(0, when=(0, 1)).build()
+    assert circuit.ops[1:] == (Op(Gate.SDG, (0,)), Op(Gate.SDG, (0,), None, (0, 1)))
+    assert validate(circuit) == []
+
+
 def test_remap_qubits_permutes_operands_and_designation():
     swapped = remap_qubits(cccz_6t(), {0: 3, 3: 0})
     assert swapped.data_qubits == frozenset({0, 1, 2, 3})

@@ -179,6 +179,16 @@ def test_verify_too_wide_for_a_dense_target_exits_2(tmp_path, capsys, monkeypatc
     assert stderr.startswith("error: Unable to allocate")
 
 
+def test_an_error_without_a_message_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    # what Python raises when an allocation of its own fails: no message at all
+    def exhausted(circuit):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "count", exhausted)
+    path = tmp_path / "c.qct"
+    path.write_text(emit_text(cccz_6t()))
+    assert run(capsys, "count", "--in", str(path)) == (2, "", "error: MemoryError\n")
+
+
 def test_verify_tolerance_defaults_to_the_library_default(tmp_path, capsys, monkeypatch):
     # verify has no tolerance flag: every check runs at the library default
     seen = []

@@ -258,6 +258,26 @@ def test_parse_quirk_handles_double_encoding():
     assert circuit.ops == (Op(Gate.H, (0,)),)
 
 
+IDENTITY_MARKER = '{"id":"~mark","name":"mark","matrix":"{{1,0},{0,1}}"}'
+
+
+def test_parse_quirk_skips_a_marker_beside_a_gate():
+    # a marker sharing a column with a gate is skipped and does not widen the register
+    url = QUIRK_URL_PREFIX + urllib.parse.quote(
+        '{"cols":[["~mark","H"],["Z^¼",1,"~mark"]],"gates":[' + IDENTITY_MARKER + "]}", safe="")
+    circuit = parse_quirk_url(url)
+    assert circuit == Circuit(2, 0, (Op(Gate.H, (1,)), Op(Gate.T, (0,))), frozenset({0, 1}))
+
+
+def test_parse_quirk_drops_a_column_of_controls_alone():
+    url = QUIRK_URL_PREFIX + urllib.parse.quote(
+        '{"cols":[["H"],["•","◦"],["Measure"],["•",1,"•"],[1,"X"]]}', safe="")
+    circuit = parse_quirk_url(url)
+    assert circuit.ops == (Op(Gate.H, (0,)), Op(Gate.MEASURE, (0,), 0), Op(Gate.RESET, (0,)),
+                           Op(Gate.X, (1,)))
+    assert (circuit.qubit_count, circuit.bit_count, circuit.data_qubits) == (3, 1, frozenset({1, 2}))
+
+
 def test_reference_url_imports_to_the_synthesized_cccz():
     # marker framing drops the interactive harness around the payload
     assert parse_quirk_url(REFERENCE_QUIRK_CCCZ_URL) == cccz_6t()

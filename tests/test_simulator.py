@@ -151,6 +151,13 @@ def test_run_branches_rejects_unnormalized_input():
         run_branches(cccz_6t(), 2.0 * basis(5, 0))
 
 
+@pytest.mark.parametrize("state", [basis(4, 0), basis(5, 0).reshape(4, 8)], ids=["short", "2-d"])
+def test_run_branches_rejects_a_state_of_the_wrong_shape(state):
+    with pytest.raises(SimulationError) as raised:
+        run_branches(cccz_6t(), state)
+    assert str(raised.value) == f"state must have shape (32,), got {state.shape}"
+
+
 @pytest.mark.parametrize("index", [1, 0], ids=["beside-one", "alone"])
 def test_run_branches_rejects_a_non_finite_state(index):
     # [1, nan, 0, ...] would pass the norm check, since NaN compares False
