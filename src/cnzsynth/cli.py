@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .circuit import Circuit, CircuitError, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import compare, count
@@ -28,15 +26,17 @@ def _load_circuit(source: str) -> Circuit:
     return parse_text(Path(source).read_text(encoding="utf-8"))
 
 
-def _conjugate_target_with_h(circuit: Circuit, target: int) -> Circuit:
-    """Turn the Z-type gate into its X-type twin by H-conjugating the target."""
-    h = Op(Gate.H, (target,))
-    return Circuit(
-        circuit.qubit_count,
-        circuit.bit_count,
-        (h,) + circuit.ops + (h,),
-        circuit.data_qubits,
-    )
+def _conjugate_target_with_h(circuit: Circuit) -> Circuit:
+    """Toggle an H on the highest data qubit at each end: H-conjugate the target.
+
+    An end that already is that unconditioned H loses it (H·H = I); otherwise
+    one is added. So the Z-type gate becomes its X-type twin and back.
+    """
+    h = Op(Gate.H, (max(circuit.data_qubits),))
+    ops = circuit.ops
+    ops = ops[1:] if ops[:1] == (h,) else (h,) + ops
+    ops = ops[:-1] if ops[-1:] == (h,) else ops + (h,)
+    return Circuit(circuit.qubit_count, circuit.bit_count, ops, circuit.data_qubits)
 
 
 def _print_count(circuit: Circuit) -> None:
@@ -48,14 +48,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.n is not None:
             raise CodecError("synth --gate cccz takes no -n")
         circuit = cccz_6t()
-        target = 3
     else:
         if args.n is None:
             raise CodecError("synth --gate cnz requires -n")
         circuit = synth_cnz(CnZSpec(args.n), Method(args.method))
-        target = args.n
     if args.x_target:
-        circuit = _conjugate_target_with_h(circuit, target)
+        circuit = _conjugate_target_with_h(circuit)
     Path(args.out).write_text(emit_text(circuit), encoding="utf-8")
     _print_count(circuit)
     return 0
@@ -79,11 +77,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CodecError(
             f"target {args.against} acts on {n + 1} qubits but the circuit has "
             f"{len(circuit.data_qubits)} data qubits")
-    target = oracle_cnz(n)
-    if x_target:  # (H ⊗ I) C^nZ (H ⊗ I), H on the top data qubit: X where every control holds 1
-        ones = [(1 << n) - 1, (2 << n) - 1]
-        target[np.ix_(ones, ones)] = [[0, 1], [1, 0]]
-    verdict = check_implements(circuit, target)
+    if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
+        circuit = _conjugate_target_with_h(circuit)
+    verdict = check_implements(circuit, oracle_cnz(n))
     for report in verdict.branch_reports:
         outcomes = "".join(str(b) for b in report.outcomes)
         print(

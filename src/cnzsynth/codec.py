@@ -310,9 +310,7 @@ def parse_quirk_url(url: str) -> Circuit:
     bit_count = 0
     used = -1
 
-    for col in cols:
-        if _is_marker_column(col, identity_ids):
-            continue
+    for col in cols:  # a marker column left inside the frame holds no gate, dot or Measure
         dots: list[tuple[int, int]] = []
         gates: list[tuple[int, str]] = []
         meas: list[int] = []

@@ -4,14 +4,16 @@ from __future__ import annotations
 import json
 import urllib.parse
 
+import numpy as np
 import pytest
 
 from cnzsynth import (
-    DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, Gate, cccz_6t, check_implements,
-    emit_text, parse_quirk_url, parse_text)
+    DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t,
+    check_implements, emit_text, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
 from cnzsynth import cli
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
+from test_mutants import single_point_mutants
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -255,6 +257,103 @@ def test_every_synthesized_circuit_verifies(tmp_path, capsys, flags, against, ki
     # the Z- and X-type targets differ, so each rejects the other's circuit
     other = against.format("x" if kind == "z" else "z")
     assert run(capsys, "verify", "--in", str(path), "--against", other)[0] == 1
+
+
+def synthesized() -> list:
+    """cccz_6t and every ladder with n <= 8, both methods, as (synth flags, circuit, n)."""
+    out = [pytest.param(["--gate", "cccz"], cccz_6t(), 3, id="cccz")]
+    for method in Method:
+        for n in range(2 if method is Method.BASELINE else 3, 9):
+            flags = ["--gate", "cnz", "-n", str(n), "--method", method.value]
+            out.append(pytest.param(flags, synth_cnz(CnZSpec(n), method), n,
+                                    id=f"cnz{n}-{method.value}"))
+    return out
+
+
+@pytest.mark.parametrize("flags, circuit, n", synthesized())
+def test_toggling_twice_is_the_identity(flags, circuit, n):
+    once = cli._conjugate_target_with_h(circuit)
+    assert len(once.ops) == len(circuit.ops) + 2
+    assert cli._conjugate_target_with_h(once) == circuit
+
+
+@pytest.mark.parametrize("flags, circuit, n", synthesized())
+def test_toggling_an_x_target_output_gives_back_the_synthesized_circuit(
+        tmp_path, capsys, flags, circuit, n):
+    path = tmp_path / "x.qct"
+    assert run(capsys, "synth", *flags, "--x-target", "--out", str(path))[0] == 0
+    x_target = parse_text(path.read_text())
+    h = Op(Gate.H, (n,))  # the highest data qubit
+    assert (x_target.ops[0], x_target.ops[-1]) == (h, h)
+    assert cli._conjugate_target_with_h(x_target).ops == circuit.ops
+
+
+def test_toggle_cancels_only_an_unconditioned_h_on_the_highest_data_qubit():
+    # the toggle reads only the end ops, so a conditioned H may stand first here
+    h, t = Op(Gate.H, (2,)), Op(Gate.T, (0,))
+    for end in (Op(Gate.H, (2,), None, (0, 1)), Op(Gate.H, (1,)), Op(Gate.X, (2,))):
+        for ops in ((end, t), (t, end)):
+            circuit = Circuit(4, 1, ops, frozenset({0, 1, 2}))
+            assert cli._conjugate_target_with_h(circuit).ops == (h, *ops, h)
+    circuit = Circuit(3, 0, (h, t, h), frozenset({0, 1, 2}))
+    assert cli._conjugate_target_with_h(circuit).ops == (t,)
+
+
+@pytest.mark.parametrize("flags, circuit, n", [p for p in synthesized() if p.values[2] <= 6])
+def test_cnx_verify_prints_what_cnz_prints_for_the_plain_circuit(tmp_path, capsys, flags, circuit, n):
+    # the X-type check is the Z-type check of the H-conjugated circuit, which is the
+    # plain circuit again: every byte agrees, float residue included
+    plain, x_target = tmp_path / "z.qct", tmp_path / "x.qct"
+    run(capsys, "synth", *flags, "--out", str(plain))
+    run(capsys, "synth", *flags, "--x-target", "--out", str(x_target))
+    z, x = ("cccz", "cccx") if flags[1] == "cccz" else (f"cnz:{n}", f"cnx:{n}")
+    z_type = run(capsys, "verify", "--in", str(plain), "--against", z)
+    assert z_type[0] == 0
+    assert run(capsys, "verify", "--in", str(x_target), "--against", x) == z_type
+
+
+def moved_one_qubit_gates(circuit: Circuit) -> list[Circuit]:
+    """Every valid circuit with one unitary 1-qubit op moved to another position."""
+    out = []
+    for i, op in enumerate(circuit.ops):
+        if op.gate.is_unitary and op.gate.arity == 1:
+            rest = circuit.ops[:i] + circuit.ops[i + 1:]
+            for j in range(len(circuit.ops)):
+                moved = Circuit(circuit.qubit_count, circuit.bit_count, (*rest[:j], op, *rest[j:]),
+                                circuit.data_qubits)
+                if j != i and not validate(moved):
+                    out.append(moved)
+    return out
+
+
+def dense_cnx(n: int) -> np.ndarray:
+    """C^nX with X on the highest data qubit: C^nZ with its last 2x2 block made X."""
+    target = oracle_cnz(n)
+    ones = [(1 << n) - 1, (2 << n) - 1]
+    target[np.ix_(ones, ones)] = [[0, 1], [1, 0]]
+    return target
+
+
+# cccz_6t is also the n = 3 optimized ladder
+@pytest.mark.parametrize("base, n", [
+    pytest.param(cccz_6t(), 3, id="cccz"),
+    pytest.param(synth_cnz(CnZSpec(2), Method.BASELINE), 2, id="cnz2-baseline"),
+    pytest.param(synth_cnz(CnZSpec(3), Method.BASELINE), 3, id="cnz3-baseline"),
+])
+def test_toggle_then_cnz_agrees_with_the_dense_cnx_target_on_mutants(base, n):
+    # the X-target circuit, and each one with an op deleted, T and T† swapped, a
+    # condition flipped or a 1-qubit gate moved
+    x_target = cli._conjugate_target_with_h(base)
+    kinds = single_point_mutants(x_target)
+    mutants = [m for kind in ("delete", "swap_t", "flip_condition") for _, m in kinds[kind]]
+    circuits = {c.ops: c for c in [x_target, *mutants, *moved_one_qubit_gates(x_target)]}
+    target, accepted = dense_cnx(n), 0
+    for circuit in circuits.values():
+        dense = check_implements(circuit, target)
+        toggled = check_implements(cli._conjugate_target_with_h(circuit), oracle_cnz(n))
+        assert (toggled.passed, toggled.ancilla_clean) == (dense.passed, dense.ancilla_clean)
+        accepted += dense.passed
+    assert 0 < accepted < len(circuits)
 
 
 @pytest.mark.parametrize("against", ["cnz:٣", "cnx:３", "cnz:²", "cnz:0", "cnz:", "ccx"])

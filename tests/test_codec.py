@@ -269,6 +269,15 @@ def test_parse_quirk_skips_a_marker_beside_a_gate():
     assert circuit == Circuit(2, 0, (Op(Gate.H, (1,)), Op(Gate.T, (0,))), frozenset({0, 1}))
 
 
+def test_parse_quirk_marker_columns_add_no_op_and_no_wire():
+    # three marker columns: the middle one lies inside the frame; a lone one frames nothing
+    framed = '{"cols":[["~mark"],["H"],[1,1,"~mark"],["Z"],["~mark"]],"gates":[' + IDENTITY_MARKER + "]}"
+    lone = '{"cols":[["H"],[1,1,"~mark"],["Z"]],"gates":[' + IDENTITY_MARKER + "]}"
+    for payload in (framed, lone):
+        circuit = parse_quirk_url(QUIRK_URL_PREFIX + urllib.parse.quote(payload, safe=""))
+        assert circuit == Circuit(1, 0, (Op(Gate.H, (0,)), Op(Gate.Z, (0,))), frozenset({0}))
+
+
 def test_parse_quirk_drops_a_column_of_controls_alone():
     url = QUIRK_URL_PREFIX + urllib.parse.quote(
         '{"cols":[["H"],["•","◦"],["Measure"],["•",1,"•"],[1,"X"]]}', safe="")
