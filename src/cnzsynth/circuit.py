@@ -95,7 +95,7 @@ def validate(circuit: Circuit) -> list[Violation]:
     """Return every invariant violation; empty iff the circuit is executable.
 
     Violations are data, not failures: callers that require a well-formed
-    circuit (simulator, codec) raise on a non-empty result.
+    circuit (simulator, verifier, codec, counts) raise through ``require_valid``.
     """
     out: list[Violation] = []
     if circuit.qubit_count < 0:
@@ -153,6 +153,17 @@ def validate(circuit: Circuit) -> list[Violation]:
         if q in circuit.data_qubits:
             out.append(Violation(None, f"data qubit {q} is measured and never reset"))
     return out
+
+
+def require_valid(circuit: Circuit, error: type[Exception], lines: list[int] | None = None) -> None:
+    """Raise ``error("invalid circuit: ...")`` listing every violation, unless
+    ``circuit`` is executable. ``lines[i]``, when given, is op i's source line:
+    an op's violation then reads ``line N: ...`` instead of ``op i: ...``."""
+    violations = validate(circuit)
+    if violations:
+        raise error("invalid circuit: " + "; ".join(
+            str(v) if lines is None or v.op_index is None else f"line {lines[v.op_index]}: {v.message}"
+            for v in violations))
 
 
 def compose(first: Circuit, second: Circuit) -> Circuit:

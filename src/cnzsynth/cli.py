@@ -12,10 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from .circuit import Circuit, CircuitError, Gate, Op
+from .circuit import Circuit, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import compare, count
-from .simulator import SimulationError
 from .synthesis import CnZSpec, Method, cccz_6t, synth_cnz
 from .verify import check_implements, oracle_cnz
 
@@ -175,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CodecError, CircuitError, SimulationError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # CodecError, CircuitError, SimulationError included
         # a failed allocation inside Python raises MemoryError() with no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

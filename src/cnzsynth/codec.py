@@ -10,8 +10,9 @@ Text format (one op per line, canonical form lowercase with single spaces):
     <any non-measurement line> if b<k>==0|1
 
 Parsing tolerates blank lines and ``#`` comments; absent headers default to
-zero qubits/bits and all-data; emission is byte-deterministic and
-``parse_text(emit_text(c))`` is op-identical for every valid circuit.
+zero qubits/bits and all-data; a ``qubits`` header may not exceed 2^16.
+Emission is byte-deterministic and ``parse_text(emit_text(c))`` is
+op-identical for every valid circuit within that bound.
 
 Quirk URLs (https://algassert.com/quirk#circuit=<percent-encoded JSON>)
 cover the same alphabet via the name map H, X, Z, Z^½, Z^-½, Z^¼, Z^-¼,
@@ -39,9 +40,13 @@ import json
 import re
 import urllib.parse
 
-from .circuit import Circuit, Gate, Op, validate
+from .circuit import Circuit, Gate, Op, require_valid
 
 QUIRK_URL_PREFIX = "https://algassert.com/quirk#circuit="
+
+#: Largest ``qubits`` header; checked before a header-sized set is built. Far
+#: above anything synthesized or simulated (a key holds at most 62 bits).
+_MAX_QUBITS = 1 << 16
 
 _GATE_BY_MNEMONIC = {g.value: g for g in Gate}
 
@@ -69,22 +74,9 @@ class CodecError(ValueError):
     """Raised on syntax errors, unsupported constructs, or invalid circuits."""
 
 
-def _require_valid(circuit: Circuit, lines_of_ops: list[int] | None = None) -> None:
-    violations = validate(circuit)
-    if not violations:
-        return
-    parts = []
-    for v in violations:
-        if lines_of_ops is not None and v.op_index is not None:
-            parts.append(f"line {lines_of_ops[v.op_index]}: {v.message}")
-        else:
-            parts.append(str(v))
-    raise CodecError("invalid circuit: " + "; ".join(parts))
-
-
 def emit_text(circuit: Circuit) -> str:
     """Canonical text document for a valid circuit (byte-deterministic)."""
-    _require_valid(circuit)
+    require_valid(circuit, CodecError)
     lines = [
         f"qubits {circuit.qubit_count}",
         f"bits {circuit.bit_count}",
@@ -133,6 +125,8 @@ def parse_text(doc: str) -> Circuit:
                 if len(tokens) != 2:
                     raise CodecError(f"line {lineno}: usage: qubits <N>")
                 qubit_count = _parse_int(tokens[1], lineno, "qubit count")
+                if qubit_count > _MAX_QUBITS:
+                    raise CodecError(f"line {lineno}: qubit count {qubit_count} exceeds {_MAX_QUBITS}")
             elif head == "bits":
                 if len(tokens) != 2:
                     raise CodecError(f"line {lineno}: usage: bits <M>")
@@ -174,7 +168,7 @@ def parse_text(doc: str) -> Circuit:
     if data is None:
         data = frozenset(range(qubit_count))
     circuit = Circuit(qubit_count, bit_count, tuple(ops), data)
-    _require_valid(circuit, op_lines)
+    require_valid(circuit, CodecError, op_lines)
     return circuit
 
 
@@ -185,7 +179,7 @@ def export_quirk_url(circuit: Circuit) -> str:
     re-measured wires, quantum gates on measured wires, conditioned resets,
     or resets that do not immediately follow a measurement of the same wire.
     """
-    _require_valid(circuit)
+    require_valid(circuit, CodecError)
     cols: list[list] = []
     bit_wire: dict[int, int] = {}
     measured: set[int] = set()
@@ -370,5 +364,5 @@ def parse_quirk_url(url: str) -> Circuit:
     qubit_count = used + 1
     data = frozenset(range(qubit_count)) - set(measured)
     circuit = Circuit(qubit_count, bit_count, tuple(ops), data)
-    _require_valid(circuit)
+    require_valid(circuit, CodecError)
     return circuit

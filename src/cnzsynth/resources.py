@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .circuit import Circuit, Gate, NON_CLIFFORD, validate
+from .circuit import Circuit, Gate, NON_CLIFFORD, require_valid
 from .synthesis import CnZSpec, Method, synth_cnz
 
 
@@ -37,9 +37,7 @@ class ComparisonRow:
 
 def count(circuit: Circuit) -> ResourceCount:
     """Exact tallies by scanning ops; raises on an invalid circuit."""
-    violations = validate(circuit)
-    if violations:
-        raise ValueError("invalid circuit: " + "; ".join(str(v) for v in violations))
+    require_valid(circuit, ValueError)
     t = clifford = measurements = conditioned = 0
     for op in circuit.ops:
         if op.gate in NON_CLIFFORD:

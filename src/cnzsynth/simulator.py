@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Op, validate
+from .circuit import Circuit, Op, require_valid
 
 #: ``histories`` drops each input's branch, one (history, input) pair, whose final
 #: squared norm falls below this (as if at its event); the verifier prunes nothing.
@@ -78,14 +78,6 @@ class BranchRecord:
     outcomes: tuple[int, ...]
     probability: float
     final_state: np.ndarray
-
-
-def require_valid(circuit: Circuit) -> None:
-    """Raise SimulationError unless ``circuit`` is executable."""
-    violations = validate(circuit)
-    if violations:
-        raise SimulationError(
-            "invalid circuit: " + "; ".join(str(v) for v in violations))
 
 
 def _event_bits(ops: tuple[Op, ...], base: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -228,7 +220,7 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     records with the same ``outcomes``. The input must be finite and
     normalized, with its ancilla qubits in |0>.
     """
-    require_valid(circuit)
+    require_valid(circuit, SimulationError)
     n = circuit.qubit_count
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
@@ -255,7 +247,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-    require_valid(circuit)
+    require_valid(circuit, SimulationError)
     x = np.arange(1 << circuit.qubit_count, dtype=np.int64)  # input x is register index x
     _, column, row, amps, _, _ = histories(circuit, x, x, np.ones(len(x), dtype=complex))
     u = np.zeros((len(x), len(x)), dtype=complex)

@@ -48,11 +48,6 @@ class CnZSpec:
             raise ValueError(f"C^nZ synthesis requires n >= 2 controls, got n={self.n}")
 
 
-def _require_distinct(*qubits: int) -> None:
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"operands must be distinct, got {qubits}")
-
-
 def _append_cccz(bld: CircuitBuilder, a: int, b: int, c: int, d: int, anc: int) -> None:
     """6-T CCCZ on (a, b, c, d) using ``anc`` as the measured ancilla.
 
@@ -103,6 +98,16 @@ def _append_and_uncompute(bld: CircuitBuilder, a: int, b: int, anc: int) -> None
     bld.cz(a, b, when=(m, 1))
 
 
+def _and_circuit(append, a: int, b: int, anc: int) -> Circuit:
+    """``append``'s block on the smallest register holding a, b and anc; anc is the one ancilla."""
+    if len({a, b, anc}) != 3:
+        raise ValueError(f"operands must be distinct, got {(a, b, anc)}")
+    count = max(a, b, anc) + 1
+    bld = CircuitBuilder(count, data_qubits=frozenset(range(count)) - {anc})
+    append(bld, a, b, anc)
+    return bld.build()
+
+
 def cccz_6t() -> Circuit:
     """The 6-T CCCZ: data qubits 0..3, measured ancilla 4.
 
@@ -120,11 +125,7 @@ def and_compute(a: int, b: int, anc: int) -> Circuit:
     The unitary restricted to the anc=|0> input subspace is the exact AND
     isometry (no relative phase among basis states); T-count is 4.
     """
-    _require_distinct(a, b, anc)
-    count = max(a, b, anc) + 1
-    bld = CircuitBuilder(count, data_qubits=frozenset(range(count)) - {anc})
-    _append_and_compute(bld, a, b, anc)
-    return bld.build()
+    return _and_circuit(_append_and_compute, a, b, anc)
 
 
 def and_uncompute(a: int, b: int, anc: int) -> Circuit:
@@ -133,11 +134,7 @@ def and_uncompute(a: int, b: int, anc: int) -> Circuit:
     Zero T gates; composing ``and_compute`` then ``and_uncompute`` is the
     identity channel on (a, b) on every branch, and anc ends reset to |0>.
     """
-    _require_distinct(a, b, anc)
-    count = max(a, b, anc) + 1
-    bld = CircuitBuilder(count, data_qubits=frozenset(range(count)) - {anc})
-    _append_and_uncompute(bld, a, b, anc)
-    return bld.build()
+    return _and_circuit(_append_and_uncompute, a, b, anc)
 
 
 def synth_cnz(spec: CnZSpec, method: Method) -> Circuit:

@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .circuit import Circuit, Gate, remap_qubits
-from .simulator import histories, require_valid, run_starts
+from .circuit import Circuit, Gate, remap_qubits, require_valid
+from .simulator import SimulationError, histories, run_starts
 
 DEFAULT_TOLERANCE = 1e-9
 #: A tolerance absorbs float rounding (~1e-15 here); one at or above this
@@ -104,14 +104,15 @@ def check_implements(
         raise ValueError(
             f"target dimension {target.shape} does not match "
             f"{len(data)} data qubits (expected {(dim_data, dim_data)})")
-    magnitude = np.abs(target)
-    pivot, nonzeros = int(np.argmax(magnitude)), np.count_nonzero(magnitude)
-    del magnitude  # 4^d floats: held to the end, they made the n = 6 check refault heap pages
-    if not np.isfinite(target.flat[pivot]):  # argmax stops at the first NaN, else at an infinity
+    # the only read of where the target is nonzero; != 0 first, as flatnonzero on complex is slow
+    support = np.flatnonzero(target != 0)
+    # the first largest entry in row-major order: argmax stops at the first NaN, else at an infinity
+    pivot = int(support[np.argmax(np.abs(target.take(support)))]) if len(support) else 0
+    if not np.isfinite(target.flat[pivot]):
         raise ValueError("target entries must be finite")
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
-    require_valid(circuit)  # before renumbering, so an invalid circuit reports its own qubit numbers
+    require_valid(circuit, SimulationError)  # before renumbering: an invalid circuit names its own qubits
     if data != list(range(len(data))):  # renumber: data on wires 0..d-1, the ancillas after them
         order = data + sorted(circuit.ancilla_qubits)
         circuit = remap_qubits(circuit, {q: i for i, q in enumerate(order)})
@@ -141,9 +142,8 @@ def check_implements(
     largest = np.maximum.reduceat(np.abs(amps), runs)
     deviation = np.maximum.reduceat(np.abs(amps - scalar[history] * wanted), runs)
     present = np.add.reduceat(wanted != 0, runs, dtype=np.intp)
-    lacking = np.flatnonzero((present < nonzeros) & (scalar != 0))
-    if len(lacking):
-        support, ends = np.flatnonzero(target), np.append(runs[1:], len(position))
+    lacking = np.flatnonzero((present < len(support)) & (scalar != 0))
+    ends = np.append(runs[1:], len(position))
     for h in lacking:  # its entries at target nonzeros: distinct, as setdiff1d assumes
         run = slice(runs[h], ends[h])
         missing = np.setdiff1d(support, position[run][wanted[run] != 0], assume_unique=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 import urllib.parse
 
 import numpy as np
@@ -133,6 +134,19 @@ def test_malformed_text_exits_2_with_one_error_line(tmp_path, capsys, doc, messa
     path = tmp_path / "bad.qct"
     path.write_text(doc, encoding="utf-8")
     assert run(capsys, "count", "--in", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+@pytest.mark.parametrize("qubits", [65537, 400000000])
+def test_qubit_header_above_the_bound_exits_2_at_once(tmp_path, capsys, command, qubits):
+    # rejected at the header line: no header-sized set is built
+    path = tmp_path / "wide.qct"
+    path.write_text(f"qubits {qubits}\n", encoding="utf-8")
+    argv = [command, "--in", str(path)] + (["--against", "cccz"] if command == "verify" else [])
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.25
+    assert result == (2, "", f"error: line 1: qubit count {qubits} exceeds 65536\n")
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -103,6 +103,21 @@ def test_parse_text_reports_line_numbers():
         parse_text("qubits 1\nfrobnicate 0\n")
 
 
+def test_parse_text_names_op_lines_and_circuit_violations_exactly():
+    # a blank line and a comment sit between the headers and op 0, on line 5
+    with pytest.raises(CodecError) as raised:
+        parse_text("qubits 2\nbits 1\n\n# ops\ncx 1 1\nm 0 -> b0\n")
+    assert str(raised.value) == (
+        "invalid circuit: line 5: identical operands; circuit: data qubit 0 is measured and never reset")
+
+
+def test_qubit_header_is_bounded_before_any_set_is_built():
+    assert parse_text("qubits 65536\n").data_qubits == frozenset(range(65536))
+    with pytest.raises(CodecError) as raised:
+        parse_text("# wide\nqubits 65537\n")
+    assert str(raised.value) == "line 2: qubit count 65537 exceeds 65536"
+
+
 def test_parse_text_rejects_out_of_range_index():
     with pytest.raises(CodecError, match="out of range"):
         parse_text("qubits 1\nbits 0\ndata 0\nh 4\n")

@@ -12,12 +12,16 @@ from cnzsynth import (
     Circuit,
     CircuitBuilder,
     CnZSpec,
+    CodecError,
     Gate,
     Method,
     Op,
     SimulationError,
     cccz_6t,
     check_implements,
+    count,
+    emit_text,
+    export_quirk_url,
     oracle_cnz,
     run_branches,
     synth_cnz,
@@ -173,15 +177,20 @@ def test_run_branches_rejects_invalid_circuit():
         run_branches(broken, basis(2, 0))
 
 
-@pytest.mark.parametrize("call", [
-    lambda circuit: run_branches(circuit, np.ones(1)),
-    unitary_of,
-    lambda circuit: check_implements(circuit, np.eye(1)),
-], ids=["run_branches", "unitary_of", "check_implements"])
-def test_negative_qubit_count_is_an_invalid_circuit(call):
-    # each public call validates the circuit before it sizes a state by its qubit count
-    with pytest.raises(SimulationError) as raised:
+@pytest.mark.parametrize("call, error", [
+    (lambda circuit: run_branches(circuit, np.ones(1)), SimulationError),
+    (unitary_of, SimulationError),
+    (lambda circuit: check_implements(circuit, np.eye(1)), SimulationError),
+    (count, ValueError),
+    (emit_text, CodecError),
+    (export_quirk_url, CodecError),
+], ids=["run_branches", "unitary_of", "check_implements", "count", "emit_text", "export_quirk_url"])
+def test_negative_qubit_count_is_an_invalid_circuit(call, error):
+    # each public call validates the circuit before it sizes anything by its qubit count,
+    # through the one gate in circuit.py, and raises its own error class
+    with pytest.raises(error) as raised:
         call(Circuit(-1, 0, (), frozenset()))
+    assert type(raised.value) is error
     assert str(raised.value) == "invalid circuit: circuit: negative qubit count"
 
 

@@ -113,6 +113,38 @@ def test_check_implements_rejects_a_non_finite_target(entry, value):
             check_implements(cccz_6t(), target)
 
 
+@pytest.mark.parametrize("first, second", [(np.inf, np.nan), (np.nan, np.inf),
+                                           (complex(0, -np.inf), complex(np.nan, 1))])
+def test_non_finite_target_raises_whatever_comes_first(first, second):
+    # argmax over the magnitudes stops at a NaN even after an infinity
+    target = oracle_cnz(3)
+    target[0, 3], target[7, 1] = first, second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            check_implements(cccz_6t(), target)
+    assert str(raised.value) == "target entries must be finite"
+
+
+def test_tied_largest_entries_take_the_phase_from_the_first_in_row_major_order():
+    first, last = oracle_cnz(3), oracle_cnz(3)
+    first[0, 0], last[15, 15] = 1j, -1j  # every nonzero still has magnitude 1
+    assert [r.phase for r in check_implements(cccz_6t(), first).branch_reports] == [-1j, -1j]
+    assert [r.phase for r in check_implements(cccz_6t(), last).branch_reports] == [1, 1]
+
+
+@pytest.mark.parametrize("entry, deviation", [
+    (-0.0, 0.0), (complex(-0.0, -0.0), 0.0), (5e-324, 5e-324), (complex(0, 1e-310), 1e-310),
+], ids=["negative-zero", "complex-negative-zero", "smallest-subnormal", "imaginary-subnormal"])
+def test_signed_zero_is_no_target_entry_and_a_subnormal_is_one(entry, deviation):
+    # the empty circuit lacks every off-diagonal nonzero, so its deviation is that entry's size
+    target = np.eye(4, dtype=complex)
+    target[0, 1] = entry
+    verdict = check_implements(Circuit(2, 0, (), frozenset({0, 1})), target)
+    assert verdict.passed
+    assert [(r.phase, r.max_deviation) for r in verdict.branch_reports] == [(1, deviation)]
+
+
 def test_check_implements_flags_entangled_ancilla():
     # the AND compute alone leaves the ancilla holding a AND b
     verdict = check_implements(and_compute(0, 1, 2), np.eye(4))
