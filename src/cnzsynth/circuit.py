@@ -41,6 +41,11 @@ class Gate(Enum):
 NON_CLIFFORD = frozenset({Gate.T, Gate.TDG})
 
 
+#: Largest valid register: far above anything synthesized or simulated (a key
+#: holds at most 62 bits), yet a register-sized set stays cheap to build.
+MAX_QUBITS = 1 << 16
+
+
 class CircuitError(ValueError):
     """Raised when a circuit-level contract is broken (compose, remap, ...)."""
 
@@ -100,6 +105,8 @@ def validate(circuit: Circuit) -> list[Violation]:
     out: list[Violation] = []
     if circuit.qubit_count < 0:
         out.append(Violation(None, "negative qubit count"))
+    elif circuit.qubit_count > MAX_QUBITS:
+        out.append(Violation(None, f"qubit count {circuit.qubit_count} exceeds {MAX_QUBITS}"))
     if circuit.bit_count < 0:
         out.append(Violation(None, "negative bit count"))
     for q in sorted(circuit.data_qubits):

@@ -10,9 +10,10 @@ Text format (one op per line, canonical form lowercase with single spaces):
     <any non-measurement line> if b<k>==0|1
 
 Parsing tolerates blank lines and ``#`` comments; absent headers default to
-zero qubits/bits and all-data; a ``qubits`` header may not exceed 2^16.
-Emission is byte-deterministic and ``parse_text(emit_text(c))`` is
-op-identical for every valid circuit within that bound.
+zero qubits/bits and all-data. A syntax error, or a ``qubits`` header above
+MAX_QUBITS (2^16), stops at its line; ``validate``'s violations come in one
+message, each by source line. Emission is byte-deterministic and
+``parse_text(emit_text(c))`` is op-identical for every valid circuit.
 
 Quirk URLs (https://algassert.com/quirk#circuit=<percent-encoded JSON>)
 cover the same alphabet via the name map H, X, Z, Z^½, Z^-½, Z^¼, Z^-¼,
@@ -40,13 +41,9 @@ import json
 import re
 import urllib.parse
 
-from .circuit import Circuit, Gate, Op, require_valid
+from .circuit import MAX_QUBITS, Circuit, Gate, Op, require_valid
 
 QUIRK_URL_PREFIX = "https://algassert.com/quirk#circuit="
-
-#: Largest ``qubits`` header; checked before a header-sized set is built. Far
-#: above anything synthesized or simulated (a key holds at most 62 bits).
-_MAX_QUBITS = 1 << 16
 
 _GATE_BY_MNEMONIC = {g.value: g for g in Gate}
 
@@ -125,8 +122,8 @@ def parse_text(doc: str) -> Circuit:
                 if len(tokens) != 2:
                     raise CodecError(f"line {lineno}: usage: qubits <N>")
                 qubit_count = _parse_int(tokens[1], lineno, "qubit count")
-                if qubit_count > _MAX_QUBITS:
-                    raise CodecError(f"line {lineno}: qubit count {qubit_count} exceeds {_MAX_QUBITS}")
+                if qubit_count > MAX_QUBITS:  # validate's rule, applied before a header-sized set is built
+                    raise CodecError(f"line {lineno}: qubit count {qubit_count} exceeds {MAX_QUBITS}")
             elif head == "bits":
                 if len(tokens) != 2:
                     raise CodecError(f"line {lineno}: usage: bits <M>")
@@ -149,20 +146,13 @@ def parse_text(doc: str) -> Circuit:
         gate = _GATE_BY_MNEMONIC.get(head)
         if gate is None:
             raise CodecError(f"line {lineno}: unknown op {head!r}")
+        bit = None
         if gate is Gate.MEASURE:
-            if condition is not None:
-                raise CodecError(f"line {lineno}: condition on a measurement")
-            if len(tokens) != 4 or tokens[2] != "->" or not _BIT_RE.match(tokens[3]):
+            if len(tokens) != 4 or tokens[2] != "->" or not (m := _BIT_RE.match(tokens[3])):
                 raise CodecError(f"line {lineno}: usage: m <q> -> b<k>")
-            q = _parse_int(tokens[1], lineno, "qubit")
-            bit = int(_BIT_RE.match(tokens[3]).group(1))
-            ops.append(Op(Gate.MEASURE, (q,), bit))
-        else:
-            if len(tokens) != 1 + gate.arity:
-                raise CodecError(
-                    f"line {lineno}: {head} expects {gate.arity} operand(s)")
-            qubits = tuple(_parse_int(t, lineno, "qubit") for t in tokens[1:])
-            ops.append(Op(gate, qubits, None, condition))
+            bit, tokens = int(m.group(1)), tokens[:2]
+        # operand count and a condition on a measurement are validate's rules, reported by line below
+        ops.append(Op(gate, tuple(_parse_int(t, lineno, "qubit") for t in tokens[1:]), bit, condition))
         op_lines.append(lineno)
 
     if data is None:

@@ -63,8 +63,6 @@ def compare(spec: CnZSpec) -> ComparisonRow:
     Counting, not the closed forms, is authoritative; callers asserting the
     4n-4 / 4n-6 formulas do so against these counted values.
     """
-    if spec.n < 3:
-        raise ValueError("comparison requires n >= 3 (both methods defined)")
     baseline_t = count(synth_cnz(spec, Method.BASELINE)).t
     optimized_t = count(synth_cnz(spec, Method.OPTIMIZED)).t
     return ComparisonRow(spec.n, baseline_t, optimized_t, baseline_t - optimized_t)

@@ -222,6 +222,8 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     """
     require_valid(circuit, SimulationError)
     n = circuit.qubit_count
+    if n > MAX_KEY_BITS:  # before 2^n sizes or formats anything
+        raise SimulationError(f"a {n}-qubit register exceeds the {MAX_KEY_BITS}-bit key")
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
         raise SimulationError(f"state must have shape ({1 << n},), got {dense.shape}")

@@ -114,9 +114,7 @@ def cccz_6t() -> Circuit:
     Exactly 6 T/T† gates, one measurement, two conditioned CZ fixups; the
     channel on the data qubits equals CCCZ on every branch.
     """
-    bld = CircuitBuilder(5, data_qubits=(0, 1, 2, 3))
-    _append_cccz(bld, 0, 1, 2, 3, 4)
-    return bld.build()
+    return synth_cnz(CnZSpec(3), Method.OPTIMIZED)
 
 
 def and_compute(a: int, b: int, anc: int) -> Circuit:

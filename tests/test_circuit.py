@@ -1,18 +1,30 @@
 """Tests for the circuit IR: validation, composition, remapping."""
 from __future__ import annotations
 
+import time
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from cnzsynth import (
     Circuit,
     CircuitBuilder,
     CircuitError,
+    CodecError,
     Gate,
     Op,
+    SimulationError,
     Violation,
     cccz_6t,
+    check_implements,
     compose,
+    count,
+    emit_text,
+    export_quirk_url,
     remap_qubits,
+    run_branches,
+    unitary_of,
     validate,
 )
 
@@ -101,6 +113,38 @@ def test_validate_measured_data_qubit_needs_reset():
         "condition-bit-out-of-range"])
 def test_validate_reports_each_violation(circuit, violation):
     assert validate(circuit) == [violation]
+
+
+def test_validate_bounds_the_register_at_2_to_the_16():
+    assert validate(empty(1 << 16)) == []
+    assert validate(empty((1 << 16) + 1)) == [Violation(None, "qubit count 65537 exceeds 65536")]
+
+
+WIDE = Circuit(400000000, 0, (), frozenset({5}))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: run_branches(WIDE, np.ones(1)), SimulationError),
+    (lambda: unitary_of(WIDE), SimulationError),
+    (lambda: check_implements(WIDE, np.eye(2)), SimulationError),
+    (lambda: count(WIDE), ValueError),
+    (lambda: emit_text(WIDE), CodecError),
+    (lambda: export_quirk_url(WIDE), CodecError),
+], ids=["run_branches", "unitary_of", "check_implements", "count", "emit_text", "export_quirk_url"])
+def test_register_above_the_bound_is_rejected_before_anything_is_sized(call, error):
+    # a Python-built circuit meets the same bound as a text header, before any register-sized work
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(error) as raised:
+            call()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(raised.value) is error
+    assert str(raised.value) == "invalid circuit: circuit: qubit count 400000000 exceeds 65536"
+    assert elapsed < 0.25 and peak < 1 << 20
 
 
 def test_validate_measured_ancilla_without_reset_is_fine():

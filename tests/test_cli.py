@@ -125,8 +125,10 @@ def test_verify_rejects_quirk_wire_not_starting_in_zero(capsys):
     ("qubits\n", "line 1: usage: qubits <N>"),
     ("bits 1 2\n", "line 1: usage: bits <M>"),
     ("qubits 1\nh if b0==1 0\n", "line 2: condition must be the trailing 'if b<k>==0|1'"),
-    ("qubits 1\nbits 1\nm 0 -> b0 if b0==1\n", "line 3: condition on a measurement"),
-    ("qubits 2\ncx 0\n", "line 2: cx expects 2 operand(s)"),
+    ("qubits 1\nbits 1\nm 0 -> b0 if b0==1\n",
+     "invalid circuit: line 3: classical condition on a measurement; "
+     "circuit: data qubit 0 is measured and never reset"),
+    ("qubits 2\ncx 0\n", "invalid circuit: line 2: cx expects 2 operand(s), got 1"),
     ("qubits 1\ndata 3\n", "invalid circuit: circuit: data qubit 3 out of range"),
 ], ids=["duplicate-header", "qubits-usage", "bits-usage", "misplaced-if", "condition-on-m",
         "operand-count", "data-out-of-range"])
@@ -134,6 +136,16 @@ def test_malformed_text_exits_2_with_one_error_line(tmp_path, capsys, doc, messa
     path = tmp_path / "bad.qct"
     path.write_text(doc, encoding="utf-8")
     assert run(capsys, "count", "--in", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_text_rule_violations_come_in_one_message_by_line(tmp_path, capsys):
+    # operand count and a condition on a measurement are validate's rules, not syntax errors
+    path = tmp_path / "bad.qct"
+    path.write_text("qubits 2\nbits 1\ncx 0\nm 1 -> b0 if b0==1\nh 5\n", encoding="utf-8")
+    assert run(capsys, "count", "--in", str(path)) == (2, "", (
+        "error: invalid circuit: line 3: cx expects 2 operand(s), got 1; "
+        "line 4: classical condition on a measurement; line 5: qubit 5 out of range; "
+        "circuit: data qubit 1 is measured and never reset\n"))
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])

@@ -118,6 +118,18 @@ def test_qubit_header_is_bounded_before_any_set_is_built():
     assert str(raised.value) == "line 2: qubit count 65537 exceeds 65536"
 
 
+def test_quirk_register_above_the_bound_is_invalid():
+    url = QUIRK_URL_PREFIX + urllib.parse.quote(json.dumps({"cols": [[1] * 65536 + ["H"]]}))
+    with pytest.raises(CodecError) as raised:
+        parse_quirk_url(url)
+    assert str(raised.value) == "invalid circuit: circuit: qubit count 65537 exceeds 65536"
+
+
+def test_text_round_trip_holds_at_the_register_bound():
+    circuit = Circuit(1 << 16, 1, (Op(Gate.H, (65535,)), Op(Gate.MEASURE, (65535,), 0)), frozenset({0}))
+    assert parse_text(emit_text(circuit)) == circuit
+
+
 def test_parse_text_rejects_out_of_range_index():
     with pytest.raises(CodecError, match="out of range"):
         parse_text("qubits 1\nbits 0\ndata 0\nh 4\n")

@@ -162,6 +162,14 @@ def test_run_branches_rejects_a_state_of_the_wrong_shape(state):
     assert str(raised.value) == f"state must have shape (32,), got {state.shape}"
 
 
+@pytest.mark.parametrize("qubits", [63, 20000])
+def test_run_branches_rejects_a_register_wider_than_the_key(qubits):
+    # before 2^n sizes the state or formats the shape message
+    with pytest.raises(SimulationError) as raised:
+        run_branches(Circuit(qubits, 0, (), frozenset()), np.ones(1))
+    assert str(raised.value) == f"a {qubits}-qubit register exceeds the 62-bit key"
+
+
 @pytest.mark.parametrize("index", [1, 0], ids=["beside-one", "alone"])
 def test_run_branches_rejects_a_non_finite_state(index):
     # [1, nan, 0, ...] would pass the norm check, since NaN compares False
