@@ -1,18 +1,19 @@
 """Sparse statevector execution of every measurement branch in one labeled pass.
 
 A state is two parallel arrays: int64 keys (basis index plus label bits above
-the register) and the complex amplitudes of its nonzero entries. X and CX
-relabel keys, CZ and the diagonal gates scale entries, and H and √X(†) pair
-each key with its partner on the wire. Every H and √X here acts on an
-ancilla, so from basis inputs the state stays small. Measurement is deferred
-(Nielsen & Chuang §4.4): each MEASURE and RESET writes its outcome into its
-own label bit, so each branch is one label class and every op runs once over
-all of them. Events take label bits in op order from the top down, so
-ascending label order is depth-first order, outcome 0 before 1. A classical
-condition masks on its measurement's label bit. One key holds at most
-MAX_KEY_BITS bits; a wider circuit raises SimulationError. ``histories`` is
-the only reader of this key layout: ``run_branches``, ``unitary_of`` and the
-verifier all read its table of (history, input, basis, amplitude) entries.
+the register) and the complex amplitudes of its nonzero entries. X, CX,
+MEASURE and RESET flip key bits where a source wire holds 1, CZ and the
+diagonal gates scale entries, and H and √X(†) pair each key with its partner
+on the wire. Every H and √X here acts on an ancilla, so from basis inputs
+the state stays small. Measurement is deferred (Nielsen & Chuang §4.4): each
+MEASURE and RESET writes its outcome into its own label bit, so each branch
+is one label class and every op runs once over all of them. Events take label
+bits in op order from the top down, so ascending label order is depth-first
+order, outcome 0 before 1. A classical condition masks on its measurement's
+label bit. One key holds at most MAX_KEY_BITS bits; a wider circuit raises
+SimulationError. ``histories`` is the only reader of this key layout:
+``run_branches``, ``unitary_of`` and the verifier all read its table of
+(history, input, basis, amplitude) entries.
 
 The pass knows each register wire as classical (a function of the label bits,
 so no key's partner on it is present) or free, and a split pairs keys only on
@@ -101,6 +102,15 @@ def _event_bits(ops: tuple[Op, ...], base: int) -> tuple[dict[int, int], dict[in
     return labels, {ops[i].bit: labels[i] for i in events if ops[i].bit is not None}
 
 
+def require_key_room(circuit: Circuit, input_bits: int) -> None:
+    """Validate ``circuit`` and hold its register plus ``input_bits`` input label
+    bits to MAX_KEY_BITS, before anything is sized by 2^n."""
+    require_valid(circuit, SimulationError)
+    base = circuit.qubit_count + input_bits
+    if base > MAX_KEY_BITS:
+        raise SimulationError(f"{base} register and input label bits exceed the {MAX_KEY_BITS}-bit key")
+
+
 def run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal values in a sorted, nonempty array."""
     return np.concatenate(([True], values[1:] != values[:-1]))
@@ -148,10 +158,7 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
             care = 1 << bit_label[op.condition[0]]
             want = care * op.condition[1]
         split, phase = _SPLITS.get(gate), _PHASES.get(gate)
-        if op.bit is not None:  # MEASURE copies its wire into its label
-            keys |= (keys & wire) << (labels[i] - q)
-            free &= ~wire
-        elif split is not None:
+        if split is not None:
             if care:  # split where the op fires, pass the rest through
                 fires = (keys & care) == want
                 k, a, classical = _split(keys[fires], amps[fires], q, split, not free & wire, False)
@@ -162,19 +169,18 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
         elif phase is not None:  # where every wire holds 1
             wires = (1 << q) | wire
             np.multiply(amps, phase, out=amps, where=(keys & (care | wires)) == (want | wires))
-        else:  # X flips its wire; where wire q holds 1, CX its target and RESET its wire and label
+        else:  # flip the bits ``flip`` where wire ``src`` holds 1: X its wire everywhere,
+            # CX its target, MEASURE its label, RESET its wire and label (an echo its wire)
             src = 0 if gate == "x" else 1 << q
-            flip = wire | (1 << labels[i]) if i in labels else wire
-            if gate == "reset" and i not in labels:  # an echo: its wire holds its measurement's label
+            flip = (1 << labels[i] if i in labels else 0) | (0 if gate == "m" else wire)
+            if flip == src:  # an echo flips its wire where the wire holds 1: it clears it
                 keys &= ~wire
-            elif care:
+            elif care or not src:
                 np.bitwise_xor(keys, flip, out=keys, where=(keys & (care | src)) == (want | src))
-            elif not src:
-                keys ^= wire
             else:  # keys & src is 0 or 2^q: shift it onto flip
                 held = keys & src
                 keys ^= held >> (q - op.qubits[-1]) if flip < src else held * (flip >> q)
-            if gate == "reset" and not care:
+            if src == wire and not care:  # a MEASURE or an unconditioned RESET
                 free &= ~wire
             elif free & src:  # a CX from a free control; X has none, a RESET's is its own wire
                 free |= wire
@@ -220,10 +226,8 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     records with the same ``outcomes``. The input must be finite and
     normalized, with its ancilla qubits in |0>.
     """
-    require_valid(circuit, SimulationError)
+    require_key_room(circuit, 0)
     n = circuit.qubit_count
-    if n > MAX_KEY_BITS:  # before 2^n sizes or formats anything
-        raise SimulationError(f"a {n}-qubit register exceeds the {MAX_KEY_BITS}-bit key")
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
         raise SimulationError(f"state must have shape ({1 << n},), got {dense.shape}")
@@ -249,7 +253,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-    require_valid(circuit, SimulationError)
+    require_key_room(circuit, circuit.qubit_count)
     x = np.arange(1 << circuit.qubit_count, dtype=np.int64)  # input x is register index x
     _, column, row, amps, _, _ = histories(circuit, x, x, np.ones(len(x), dtype=complex))
     u = np.zeros((len(x), len(x)), dtype=complex)

@@ -14,10 +14,11 @@ Two building blocks carry all of the T cost:
     on either the (a,b) or the (c,d) pair, exactly the (-1)^(abcd) sign.
 
 ``synth_cnz`` chains these into a C^nZ ladder: a linear chain of temporary
-ANDs folds the controls pairwise, a 4-T CCZ core (baseline, 4n-4 T total)
-or the 6-T CCCZ core (optimized, 4n-6 T total) applies the phase, and the
-mirrored uncompute chain retires the ancillas. Every ancilla is measured
-and explicitly reset, so synthesized circuits compose cleanly.
+ANDs folds the controls pairwise, a core applies the phase, and the mirrored
+uncompute chain retires the ancillas. The baseline is n-1 ANDs around a CZ,
+4(n-1) T; the optimized ladder is n-3 ANDs around the 6-T CCCZ, 4(n-3) + 6
+T. Every ancilla is measured and explicitly reset, so synthesized circuits
+compose cleanly.
 
 Wire layout: data qubits 0..n (controls then target), ancillas appended
 after the data register in order of creation.
@@ -138,40 +139,30 @@ def and_uncompute(a: int, b: int, anc: int) -> Circuit:
 def synth_cnz(spec: CnZSpec, method: Method) -> Circuit:
     """Synthesize C^nZ on data qubits 0..n (controls 0..n-1, target n).
 
-    BASELINE: a chain of n-2 temporary ANDs folds the controls to a single
-    conjunction wire, a 4-T AND/CZ/uncompute core phases the target against
-    it and the last control, and the chain is uncomputed: 4n-4 T gates.
+    Both methods are a chain of temporary ANDs that folds controls into one
+    conjunction wire, a core, and the chain's uncompute in reverse.
 
-    OPTIMIZED (n >= 3): the chain stops two controls earlier and the final
-    AND plus Toffoli core are replaced by the 6-T CCCZ on the conjunction
-    wire, the last two controls, and the target: 4n-6 T gates.
+    BASELINE: n-1 ANDs around a CZ from the conjunction wire to the target,
+    4(n-1) T gates. OPTIMIZED (n >= 3): n-3 ANDs around the 6-T CCCZ on the
+    conjunction wire, the last two controls and the target, 4(n-3) + 6 T.
     """
     n = spec.n
     if method is Method.OPTIMIZED and n < 3:
         raise ValueError("optimized requires n >= 3")
 
-    controls = list(range(n))
-    target = n
-    chain_len = n - 2 if method is Method.BASELINE else n - 3
-    chain_ancs = [n + 1 + i for i in range(chain_len)]
-    core_anc = n + 1 + chain_len
-    bld = CircuitBuilder(core_anc + 1, data_qubits=range(n + 1))
-
-    chain: list[tuple[int, int, int]] = []
-    conj = controls[0]
-    for i in range(chain_len):
-        chain.append((conj, controls[i + 1], chain_ancs[i]))
-        conj = chain_ancs[i]
-    for x, y, a in chain:
-        _append_and_compute(bld, x, y, a)
-
+    links = n - 1 if method is Method.BASELINE else n - 3
+    width = n + 1 + links + (method is Method.OPTIMIZED)  # data, chain ancillas, the CCCZ's ancilla
+    bld = CircuitBuilder(width, data_qubits=range(n + 1))
+    chain, conj = [], 0  # each link ANDs the conjunction so far with the next control
+    for i in range(links):
+        chain.append((conj, i + 1, n + 1 + i))
+        conj = n + 1 + i
+    for link in chain:
+        _append_and_compute(bld, *link)
     if method is Method.BASELINE:
-        _append_and_compute(bld, conj, controls[n - 1], core_anc)
-        bld.cz(core_anc, target)
-        _append_and_uncompute(bld, conj, controls[n - 1], core_anc)
+        bld.cz(conj, n)
     else:
-        _append_cccz(bld, conj, controls[n - 2], controls[n - 1], target, core_anc)
-
-    for x, y, a in reversed(chain):
-        _append_and_uncompute(bld, x, y, a)
+        _append_cccz(bld, conj, n - 2, n - 1, n, width - 1)
+    for link in reversed(chain):
+        _append_and_uncompute(bld, *link)
     return bld.build()

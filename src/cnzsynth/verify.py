@@ -16,8 +16,8 @@ from itertools import product
 
 import numpy as np
 
-from .circuit import Circuit, Gate, remap_qubits, require_valid
-from .simulator import SimulationError, histories, run_starts
+from .circuit import Circuit, Gate, remap_qubits
+from .simulator import histories, require_key_room, run_starts
 
 DEFAULT_TOLERANCE = 1e-9
 #: A tolerance absorbs float rounding (~1e-15 here); one at or above this
@@ -85,7 +85,9 @@ def check_implements(
     or c_h * target, every branch leaves the ancillas clean (|0>, or the
     outcome on a measured-out wire), and the |c_h|^2 sum to 1. Each visible
     outcome string gets one report: its histories' summed probability, worst
-    deviation and the depth-first first one's phase. A target with a NaN or
+    deviation and the depth-first first one's phase. An invalid circuit, or one
+    whose register and data qubits exceed the MAX_KEY_BITS key, raises
+    ``SimulationError`` before the target is read. A target with a NaN or
     infinite entry, or whose entries are all within ``tolerance`` of 0,
     raises ``ValueError``.
 
@@ -97,6 +99,8 @@ def check_implements(
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
             f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
+    # before renumbering, so an invalid circuit names its own qubits, and before 2^d is formatted
+    require_key_room(circuit, len(circuit.data_qubits))
     data = sorted(circuit.data_qubits)
     dim_data = 1 << len(data)
     target = np.asarray(target, dtype=complex)
@@ -112,7 +116,6 @@ def check_implements(
         raise ValueError("target entries must be finite")
     if abs(target.flat[pivot]) <= tolerance:
         raise ValueError("target operator is ~0")
-    require_valid(circuit, SimulationError)  # before renumbering: an invalid circuit names its own qubits
     if data != list(range(len(data))):  # renumber: data on wires 0..d-1, the ancillas after them
         order = data + sorted(circuit.ancilla_qubits)
         circuit = remap_qubits(circuit, {q: i for i, q in enumerate(order)})

@@ -1,6 +1,8 @@
 """Tests for gate matrices, state evolution, and measurement branching."""
 from __future__ import annotations
 
+import time
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -162,12 +164,48 @@ def test_run_branches_rejects_a_state_of_the_wrong_shape(state):
     assert str(raised.value) == f"state must have shape (32,), got {state.shape}"
 
 
-@pytest.mark.parametrize("qubits", [63, 20000])
-def test_run_branches_rejects_a_register_wider_than_the_key(qubits):
-    # before 2^n sizes the state or formats the shape message
-    with pytest.raises(SimulationError) as raised:
-        run_branches(Circuit(qubits, 0, (), frozenset()), np.ones(1))
-    assert str(raised.value) == f"a {qubits}-qubit register exceeds the 62-bit key"
+def data_register(qubits: int) -> Circuit:
+    return Circuit(qubits, 0, (), frozenset(range(qubits)))
+
+
+def run_one(circuit: Circuit):
+    return run_branches(circuit, np.ones(1))
+
+
+def check_one(circuit: Circuit):
+    return check_implements(circuit, np.eye(2))
+
+
+KEY = "register and input label bits exceed the 62-bit key"
+WIDEST = data_register(20000)
+
+
+@pytest.mark.parametrize("call, circuit, message", [
+    (run_one, data_register(63), f"63 {KEY}"),
+    (run_one, WIDEST, f"20000 {KEY}"),
+    (unitary_of, data_register(32), f"64 {KEY}"),
+    (unitary_of, data_register(63), f"126 {KEY}"),
+    (unitary_of, WIDEST, f"40000 {KEY}"),
+    (check_one, data_register(63), f"126 {KEY}"),
+    (check_one, WIDEST, f"40000 {KEY}"),
+    # an invalid circuit given a target of the wrong shape: the circuit is checked first
+    (check_one, Circuit(2, 0, (Op(Gate.CX, (0, 0)),), frozenset({0, 1})), "invalid circuit: op 0: identical operands"),
+], ids=["run_branches-63", "run_branches-20000", "unitary_of-32", "unitary_of-63", "unitary_of-20000",
+        "check_implements-63", "check_implements-20000", "check_implements-invalid"])
+def test_key_budget_is_checked_before_anything_is_sized(call, circuit, message):
+    # the register plus the input labels (none, one per qubit, one per data qubit) must fit
+    # one key before 2^n sizes a state or a target or formats a shape message
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(SimulationError) as raised:
+            call(circuit)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == message
+    assert elapsed < 0.25 and peak < 1 << 20
 
 
 @pytest.mark.parametrize("index", [1, 0], ids=["beside-one", "alone"])

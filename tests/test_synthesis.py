@@ -1,6 +1,8 @@
 """Tests for the circuit constructors: 6-T CCCZ, temporary AND, C^nZ ladders."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cnzsynth import (
     check_implements,
     compose,
     count,
+    emit_text,
     oracle_cnz,
     synth_cnz,
     unitary_of,
@@ -140,3 +143,32 @@ def test_cnz_rejects_invalid_requests():
 
 def test_cnz_optimized_n3_is_the_cccz():
     assert synth_cnz(CnZSpec(3), Method.OPTIMIZED) == cccz_6t()
+
+
+#: SHA-256 of ``emit_text`` of each ladder, as first synthesized; n = 3 optimized is the 6-T CCCZ.
+LADDER_DIGESTS = {
+    (2, "baseline"): "4b5fae18ce00c84471a3e180302a62d92cdab75ca9a4a055670e6e2c3fb88cf5",
+    (3, "baseline"): "3b56d838d04fedace596d6e47456afd8ce213716c4e2ada4428b3453f0aea31d",
+    (3, "optimized"): "4dd40469e84d76e7e953a83c0b299319d34126e3ec7f2a049680a58edf68b894",
+    (4, "baseline"): "23909ad35222ecd6be8fbd46c3a28a549dd608b97762990fff5b3202acd1f6f2",
+    (4, "optimized"): "85ba8365fe450f37cca73717606f27056de21912b037a275bed14f0205bcc8f1",
+    (5, "baseline"): "1f342af2a551ce2a3aa029d7c1221de06f9c84ca5aba16658980fb109a1195b1",
+    (5, "optimized"): "10137c470076fd66be11a86eecec80896923fb3493728e8e94484c4a9936b7ed",
+    (6, "baseline"): "25297ef41ea5eddb3cb8509bef26b28cc1fae04c3ff968700bbaad0ae1ea9e9f",
+    (6, "optimized"): "3c15c5e638dda9b528c9c28c8dbfc21ad46af92370b6db8ee8c3a32c5fe93bfc",
+    (7, "baseline"): "d9735692345d0c9c7690eee9eb01262f3cf34eae2f5fd36be6f0b2e976243d28",
+    (7, "optimized"): "52329debc2bd52d19145ab56c24f8f02866579b6d21b856b09be8f7cdeefeb4d",
+    (8, "baseline"): "19472cb5d0d37e8f849881876472479d0ab0b96dbc32a167f933e96e712db4f0",
+    (8, "optimized"): "288669d67459b5e2e1989b4be688464b2910f2d7fd6f7b46709649d5b1b1498e",
+}
+
+
+@pytest.mark.parametrize("n, method", sorted(LADDER_DIGESTS))
+def test_ladder_ops_are_pinned(n, method):
+    # the exact op sequence, not just its counts or channel
+    circuit = synth_cnz(CnZSpec(n), Method(method))
+    assert hashlib.sha256(emit_text(circuit).encode()).hexdigest() == LADDER_DIGESTS[n, method]
+
+
+def test_cccz_ops_are_pinned():
+    assert hashlib.sha256(emit_text(cccz_6t()).encode()).hexdigest() == LADDER_DIGESTS[3, "optimized"]
