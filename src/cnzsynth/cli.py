@@ -79,34 +79,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
         circuit = _conjugate_target_with_h(circuit)
     verdict = check_implements(circuit, oracle_cnz(n))
-    for report in verdict.branch_reports:
-        outcomes = "".join(str(b) for b in report.outcomes)
-        print(
-            f"outcomes={outcomes or '-'} p={report.probability:.6f} "
-            f"phase={report.phase.real:+.6f}{report.phase.imag:+.6f}j "
-            f"max_deviation={report.max_deviation:.3e}",
-            file=sys.stderr,
-        )
-    print(
-        f"ancilla_clean={verdict.ancilla_clean} "
-        f"probability_total={verdict.probability_total:.9f} "
-        f"passed={verdict.passed}",
-        file=sys.stderr,
-    )
-    print(json.dumps({
-        "passed": verdict.passed,
-        "ancilla_clean": verdict.ancilla_clean,
-        "probability_total": verdict.probability_total,
-        "branches": [
-            {
-                "outcomes": "".join(str(b) for b in r.outcomes),
-                "probability": r.probability,
-                "phase": [r.phase.real, r.phase.imag],
-                "max_deviation": r.max_deviation,
-            }
-            for r in verdict.branch_reports
-        ],
-    }))
+    branches = []
+    for r in verdict.branch_reports:
+        outcomes = "".join(str(b) for b in r.outcomes)
+        print(f"outcomes={outcomes or '-'} p={r.probability:.6f} "
+              f"phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
+              f"max_deviation={r.max_deviation:.3e}", file=sys.stderr)
+        branches.append({"outcomes": outcomes, "probability": r.probability,
+                         "phase": [r.phase.real, r.phase.imag], "max_deviation": r.max_deviation})
+    print(f"ancilla_clean={verdict.ancilla_clean} "
+          f"probability_total={verdict.probability_total:.9f} "
+          f"passed={verdict.passed}", file=sys.stderr)
+    print(json.dumps({"passed": verdict.passed, "ancilla_clean": verdict.ancilla_clean,
+                      "probability_total": verdict.probability_total, "branches": branches}))
     return 0 if verdict.passed else 1
 
 
@@ -118,6 +103,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.n_max < 3:
         raise CodecError("table requires --n-max >= 3")
+    CnZSpec(args.n_max)  # the widest row's bound, checked before any row is printed
     print(f"{'n':>3}  {'baseline_t':>10}  {'optimized_t':>11}  {'saving':>6}")
     for n in range(3, args.n_max + 1):
         row = compare(CnZSpec(n))

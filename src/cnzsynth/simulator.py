@@ -10,8 +10,10 @@ MEASURE and RESET writes its outcome into its own label bit, so each branch
 is one label class and every op runs once over all of them. Events take label
 bits in op order from the top down, so ascending label order is depth-first
 order, outcome 0 before 1. A classical condition masks on its measurement's
-label bit. One key holds at most MAX_KEY_BITS bits; a wider circuit raises
-SimulationError. ``histories`` is the only reader of this key layout:
+label bit. A preamble, ``require_key_room``, validates the circuit, labels its
+events and holds the whole key (register, input labels and event labels) to
+MAX_KEY_BITS once, before the pass; a wider circuit raises SimulationError.
+``histories`` is the only reader of this key layout:
 ``run_branches``, ``unitary_of`` and the verifier all read its table of
 (history, input, basis, amplitude) entries.
 
@@ -81,34 +83,29 @@ class BranchRecord:
     final_state: np.ndarray
 
 
-def _event_bits(ops: tuple[Op, ...], base: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Label bit of each MEASURE and each RESET but the echoes, by op index (the
-    first takes the highest bit, the last bit ``base``), and of each measurement
-    bit in measurement order. Keys are held to MAX_KEY_BITS."""
+def require_key_room(circuit: Circuit, input_bits: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Validate ``circuit``, label its events and hold the register, ``input_bits``
+    input label bits and the event labels to MAX_KEY_BITS, before anything is
+    sized by 2^n. Returns the label bit of each MEASURE and each RESET but the
+    echoes, by op index (the first takes the highest bit, the last the lowest
+    above the input labels), and of each measurement bit in measurement order."""
+    require_valid(circuit, SimulationError)
     events, held = [], 0  # wires that still hold their last MEASURE's outcome
-    for i, op in enumerate(ops):
+    for i, op in enumerate(circuit.ops):
         gate = op.gate._value_
         if gate not in _PHASES:  # X, a CX's target, H, √X(†) and RESET may flip the wire
             wire = 1 << op.qubits[-1]
             if gate == "m" or gate == "reset" and (op.condition is not None or not held & wire):
                 events.append(i)
             held = held | wire if gate == "m" else held & ~wire
+    base = circuit.qubit_count + input_bits
     if base + len(events) > MAX_KEY_BITS:
         raise SimulationError(
             f"{base} register and input label bits plus {len(events)} measurement and "
             f"reset labels exceed the {MAX_KEY_BITS}-bit key")
     top = base + len(events) - 1
     labels = {i: top - e for e, i in enumerate(events)}
-    return labels, {ops[i].bit: labels[i] for i in events if ops[i].bit is not None}
-
-
-def require_key_room(circuit: Circuit, input_bits: int) -> None:
-    """Validate ``circuit`` and hold its register plus ``input_bits`` input label
-    bits to MAX_KEY_BITS, before anything is sized by 2^n."""
-    require_valid(circuit, SimulationError)
-    base = circuit.qubit_count + input_bits
-    if base > MAX_KEY_BITS:
-        raise SimulationError(f"{base} register and input label bits exceed the {MAX_KEY_BITS}-bit key")
+    return labels, {circuit.ops[i].bit: labels[i] for i in events if circuit.ops[i].bit is not None}
 
 
 def run_starts(values: np.ndarray) -> np.ndarray:
@@ -143,14 +140,15 @@ def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray, classical,
     return keys[keep], amps[keep], settle and bool((keep[:len(lo)] != keep[len(lo):]).all())
 
 
-def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: int, free: int):
+def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, labels, free: int):
     """Run valid ``ops`` once over every branch of a sparse state whose keys use
-    only the bits below ``base`` and whose register wires start free where the
-    mask ``free`` says, classical elsewhere; returns (keys, amps, label bit of
-    each measurement bit). Arrays may change in place."""
+    only the bits below the event labels and whose register wires start free
+    where the mask ``free`` says, classical elsewhere; ``labels`` are
+    ``require_key_room``'s two label maps. Returns (keys, amps); arrays may
+    change in place."""
     # Sound: each key that an op makes keeps its source key's label bits and its
     # value on every wire the op does not write, so a function of the labels stays one.
-    labels, bit_label = _event_bits(ops, base)
+    event_label, bit_label = labels
     for i, op in enumerate(ops):  # hashing a Gate member runs Python code: read _value_
         q, wire, gate = op.qubits[0], 1 << op.qubits[-1], op.gate._value_  # wire: the one it writes
         care = want = 0  # the op acts on the entries whose keys & care == want
@@ -172,7 +170,7 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
         else:  # flip the bits ``flip`` where wire ``src`` holds 1: X its wire everywhere,
             # CX its target, MEASURE its label, RESET its wire and label (an echo its wire)
             src = 0 if gate == "x" else 1 << q
-            flip = (1 << labels[i] if i in labels else 0) | (0 if gate == "m" else wire)
+            flip = (1 << event_label[i] if i in event_label else 0) | (0 if gate == "m" else wire)
             if flip == src:  # an echo flips its wire where the wire holds 1: it clears it
                 keys &= ~wire
             elif care or not src:
@@ -184,22 +182,25 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, base: 
                 free &= ~wire
             elif free & src:  # a CX from a free control; X has none, a RESET's is its own wire
                 free |= wire
-    return keys, amps, bit_label
+    return keys, amps
 
 
-def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.ndarray):
-    """Run valid ``circuit`` once over entries (input label, register index,
-    amplitude) and return per-entry (history, input, basis, amplitude) arrays sorted
-    in that order, each history's visible outcomes in measurement order and the
-    offset of each history's first entry. A history is one full run of events,
-    hidden reset outcomes included. Each (history, input) pair of squared norm
-    below PRUNE_THRESHOLD is dropped, as a walk from that input drops its branch;
-    the histories left with a pair are numbered 0..H-1 depth-first."""
+def histories(circuit: Circuit, input_bits: int, basis: np.ndarray, amps: np.ndarray, labels):
+    """Run ``circuit`` once over entries (register index, amplitude), each one's
+    input label the low ``input_bits`` bits of its index, with the ``labels`` of
+    ``require_key_room(circuit, input_bits)``. Returns per-entry (history, input,
+    basis, amplitude) arrays sorted in that order, each history's visible
+    outcomes in measurement order and the offset of each history's first entry.
+    A history is one full run of events, hidden reset outcomes included. Each
+    (history, input) pair of squared norm below PRUNE_THRESHOLD is dropped, as a
+    walk from that input drops its branch; the histories left with a pair are
+    numbered 0..H-1 depth-first."""
     n = circuit.qubit_count
-    width = n + int(inputs.max(initial=0)).bit_length()
+    width = n + input_bits
+    inputs = basis & ((1 << input_bits) - 1)
     # one key per input label: every wire is classical; else a wire some key sets is free
     free = 0 if (inputs[1:] > inputs[:-1]).all() else int(np.bitwise_or.reduce(basis))
-    keys, amps, bit_label = labeled_pass(circuit.ops, (inputs << n) | basis, amps, width, free)
+    keys, amps = labeled_pass(circuit.ops, (inputs << n) | basis, amps, labels, free)
     order = np.argsort(keys, kind="stable")
     keys, amps = keys[order], amps[order]
     weights = amps.real ** 2 + amps.imag ** 2
@@ -210,10 +211,10 @@ def histories(circuit: Circuit, inputs: np.ndarray, basis: np.ndarray, amps: np.
         keys, amps = keys[keep], amps[keep]
     new = run_starts(keys >> width)
     starts = np.flatnonzero(new)
-    measured = np.array(list(bit_label.values()), np.int64)
+    measured = np.array(list(labels[1].values()), np.int64)  # each measurement bit's label
     outcomes = list(map(tuple, ((keys[starts, None] >> measured) & 1).tolist()))
     history = np.cumsum(new) - 1
-    return history, (keys >> n) & ((1 << (width - n)) - 1), keys & ((1 << n) - 1), amps, outcomes, starts
+    return history, (keys >> n) & ((1 << input_bits) - 1), keys & ((1 << n) - 1), amps, outcomes, starts
 
 
 def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord]:
@@ -226,7 +227,7 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     records with the same ``outcomes``. The input must be finite and
     normalized, with its ancilla qubits in |0>.
     """
-    require_key_room(circuit, 0)
+    labels = require_key_room(circuit, 0)
     n = circuit.qubit_count
     dense = np.asarray(input_state, dtype=complex)
     if dense.shape != (1 << n,):
@@ -240,7 +241,7 @@ def run_branches(circuit: Circuit, input_state: np.ndarray) -> list[BranchRecord
     if weights[np.arange(1 << n) & anc_mask != 0].sum() > _INPUT_TOLERANCE ** 2:
         raise SimulationError("ancilla qubits must start in |0>")
     keys = np.flatnonzero(dense)
-    history, _, basis, amps, outcomes, starts = histories(circuit, np.zeros_like(keys), keys, dense[keys])
+    history, _, basis, amps, outcomes, starts = histories(circuit, 0, keys, dense[keys], labels)
     states = np.zeros((len(outcomes), 1 << n), dtype=complex)
     states[history, basis] = amps
     leaves = np.split(amps, starts[1:])
@@ -253,9 +254,10 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     for i, op in enumerate(circuit.ops):
         if not op.gate.is_unitary:
             raise SimulationError(f"op {i}: {op.gate.value} has no unitary")
-    require_key_room(circuit, circuit.qubit_count)
-    x = np.arange(1 << circuit.qubit_count, dtype=np.int64)  # input x is register index x
-    _, column, row, amps, _, _ = histories(circuit, x, x, np.ones(len(x), dtype=complex))
-    u = np.zeros((len(x), len(x)), dtype=complex)
+    n = circuit.qubit_count
+    labels = require_key_room(circuit, n)
+    u = np.zeros((1 << n, 1 << n), dtype=complex)  # fails here, before the pass, if it cannot fit
+    x = np.arange(1 << n, dtype=np.int64)  # input x is register index x
+    _, column, row, amps, _, _ = histories(circuit, n, x, np.ones(len(x), dtype=complex), labels)
     u[row, column] = amps
     return u

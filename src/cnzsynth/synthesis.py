@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, CircuitBuilder
+from .circuit import MAX_QUBITS, Circuit, CircuitBuilder
 
 
 class Method(Enum):
@@ -40,13 +40,16 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class CnZSpec:
-    """A Z gate with ``n`` controls acting on n+1 data qubits (symmetric)."""
+    """A Z gate with ``n`` controls acting on n+1 data qubits (symmetric); the
+    baseline ladder takes 2n qubits, so n is at most half the register bound."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"C^nZ synthesis requires n >= 2 controls, got n={self.n}")
+        if self.n > MAX_QUBITS // 2:
+            raise ValueError(f"C^nZ synthesis allows at most {MAX_QUBITS // 2} controls, got n={self.n}")
 
 
 def _append_cccz(bld: CircuitBuilder, a: int, b: int, c: int, d: int, anc: int) -> None:

@@ -86,9 +86,9 @@ def check_implements(
     outcome on a measured-out wire), and the |c_h|^2 sum to 1. Each visible
     outcome string gets one report: its histories' summed probability, worst
     deviation and the depth-first first one's phase. An invalid circuit, or one
-    whose register and data qubits exceed the MAX_KEY_BITS key, raises
-    ``SimulationError`` before the target is read. A target with a NaN or
-    infinite entry, or whose entries are all within ``tolerance`` of 0,
+    whose register, data qubits and event labels exceed the MAX_KEY_BITS key,
+    raises ``SimulationError`` before the target is read. A target with a NaN
+    or infinite entry, or whose entries are all within ``tolerance`` of 0,
     raises ``ValueError``.
 
     ``histories`` has already dropped the negligible (history, input) pairs;
@@ -100,7 +100,7 @@ def check_implements(
         raise ValueError(
             f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
     # before renumbering, so an invalid circuit names its own qubits, and before 2^d is formatted
-    require_key_room(circuit, len(circuit.data_qubits))
+    labels = require_key_room(circuit, len(circuit.data_qubits))
     data = sorted(circuit.data_qubits)
     dim_data = 1 << len(data)
     target = np.asarray(target, dtype=complex)
@@ -120,7 +120,8 @@ def check_implements(
         order = data + sorted(circuit.ancilla_qubits)
         circuit = remap_qubits(circuit, {q: i for i, q in enumerate(order)})
     inputs = np.arange(dim_data, dtype=np.int64)  # input x is register index x
-    history, column, basis, amps, outcomes, runs = histories(circuit, inputs, inputs, np.ones(dim_data, complex))
+    history, column, basis, amps, outcomes, runs = histories(
+        circuit, len(data), inputs, np.ones(dim_data, complex), labels)
     # each history's Kraus entries K_h[row, col], and the target's U[row, col]
     position = (basis & (dim_data - 1)) * dim_data + column
     wanted = np.take(target, position)
@@ -141,8 +142,9 @@ def check_implements(
     at = position == pivot
     scalar = np.zeros(len(outcomes), dtype=complex)
     scalar[history[at]] = amps[at] / target.flat[pivot]
+    # K_h ~ 0 has no phase to fit: c_h = 0, so its deviation is its largest entry
+    scalar[np.maximum.reduceat(np.abs(amps), runs) <= tolerance] = 0
     # max |K_h - c_h U| over the leaf's entries, then over the target's nonzeros it lacks
-    largest = np.maximum.reduceat(np.abs(amps), runs)
     deviation = np.maximum.reduceat(np.abs(amps - scalar[history] * wanted), runs)
     present = np.add.reduceat(wanted != 0, runs, dtype=np.intp)
     lacking = np.flatnonzero((present < len(support)) & (scalar != 0))
@@ -154,9 +156,7 @@ def check_implements(
 
     # visible outcomes -> [sum of |c|^2, first phase, max deviation] over its histories, depth-first
     groups: dict[tuple[int, ...], list] = {}
-    for visible, c, big, dev in zip(outcomes, scalar.tolist(), largest.tolist(), deviation.tolist()):
-        if big <= tolerance:  # K_h ~ 0: no phase to fit
-            c, dev = 0j, big
+    for visible, c, dev in zip(outcomes, scalar.tolist(), deviation.tolist()):
         group = groups.setdefault(visible, [0.0, c / abs(c) if c else complex(1), dev])
         group[0] += abs(c) ** 2
         group[2] = max(group[2], dev)

@@ -444,6 +444,19 @@ def test_table_rejects_small_n_max(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["synth", "--gate", "cnz", "-n", "32769"], ["table", "--n-max", "32769"]],
+                         ids=["synth", "table"])
+def test_ladder_wider_than_the_register_bound_exits_2_at_once(tmp_path, capsys, command):
+    # neither builds a ladder, nor prints a header or a row, before the bound is checked
+    out = tmp_path / "wide.qct"
+    argv = command + (["--out", str(out)] if command[0] == "synth" else [])
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.25
+    assert result == (2, "", "error: C^nZ synthesis allows at most 32768 controls, got n=32769\n")
+    assert not out.exists()
+
+
 def test_export_round_trips_through_quirk(tmp_path, capsys):
     out = tmp_path / "c.qct"
     run(capsys, "synth", "--gate", "cccz", "--out", str(out))

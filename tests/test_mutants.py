@@ -1,15 +1,21 @@
-"""Every single-point mutant of the paper's circuits, against the dense reference.
+"""Every single-point mutant of the paper's circuits, against an independent reference.
 
 Each valid mutant of one point (an op deleted, T and T† swapped, a condition
 flipped, a conditioned CZ retargeted, a reset dropped, a measurement moved) of
 the 6-T CCCZ, the temporary AND's compute∘uncompute pair and both n = 3
 ladders is checked by ``check_implements`` and by
 ``dense_oracle.check_implements``; the two must agree on every report. The
-mutants the verdict accepts are pinned: each is an equal channel.
+n = 4 ladders' mutants, too many for the dense walk, are checked against the
+block-wise ``perfbench/reference.py`` instead, which must agree on the verdict.
+The mutants the verdict accepts are pinned: each is an equal channel.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,5 +92,41 @@ def test_every_single_point_mutant_matches_dense_reference(base, counts, accepte
             checked.add(mutant.ops)
             assert_same_verdict(mutant, target)
             if check_implements(mutant, target).passed:
+                passing.append(f"{kind} {index}")
+    assert passing == accepted
+
+
+@functools.cache
+def block_reference():
+    """``perfbench/reference.py``, loaded by path: it imports nothing from cnzsynth."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("block_reference", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+# The same two equal-channel kinds as at n = 3: an AND's first CX, an ancilla's final reset.
+@pytest.mark.parametrize("method, counts, accepted", [
+    pytest.param(Method.BASELINE, (43, 12, 3, 36, 3, 120),
+                 ["delete 1", "delete 12", "delete 23", "delete 36", "delete 40", "delete 44"],
+                 id="cnz4-baseline"),
+    pytest.param(Method.OPTIMIZED, (32, 10, 3, 30, 2, 59), ["delete 1", "delete 27", "delete 32"],
+                 id="cnz4-optimized"),
+])
+def test_every_single_point_mutant_at_n4_matches_block_reference(method, counts, accepted):
+    reference_verdict = block_reference().reference_verdict
+    circuit, target = synth_cnz(CnZSpec(4), method), oracle_cnz(4)
+    kinds = single_point_mutants(circuit)
+    assert tuple(len(kinds[kind]) for kind in KINDS) == counts  # 214 and 134 distinct
+    passing, checked = [], set()
+    for kind, mutants in kinds.items():
+        for index, mutant in mutants:
+            if mutant.ops in checked:  # a dropped reset is also a deletion
+                continue
+            checked.add(mutant.ops)
+            passed = check_implements(mutant, target).passed
+            assert passed == reference_verdict(mutant, target).passed, f"{kind} {index}"
+            if passed:
                 passing.append(f"{kind} {index}")
     assert passing == accepted

@@ -30,7 +30,7 @@ from cnzsynth import (
     unitary_of,
 )
 from cnzsynth import simulator, verify
-from cnzsynth.simulator import histories
+from cnzsynth.simulator import histories, require_key_room
 
 UNITARY_GATES = [g for g in Gate if g.is_unitary]
 
@@ -176,7 +176,7 @@ def check_one(circuit: Circuit):
     return check_implements(circuit, np.eye(2))
 
 
-KEY = "register and input label bits exceed the 62-bit key"
+KEY = "register and input label bits plus 0 measurement and reset labels exceed the 62-bit key"
 WIDEST = data_register(20000)
 
 
@@ -206,6 +206,18 @@ def test_key_budget_is_checked_before_anything_is_sized(call, circuit, message):
         tracemalloc.stop()
     assert str(raised.value) == message
     assert elapsed < 0.25 and peak < 1 << 20
+
+
+def test_unitary_of_sizes_its_result_before_the_pass(monkeypatch):
+    # 24 qubits fit the key (48 bits), but the 2^24 x 2^24 result (4 PiB) fits no
+    # address space: it fails at once, not after a pass over 2^24 inputs
+    passes = []
+    monkeypatch.setattr(simulator, "histories", lambda *args: passes.append(args))
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match="4.00 PiB"):
+        unitary_of(data_register(24))
+    assert time.perf_counter() - start < 0.25
+    assert passes == []
 
 
 @pytest.mark.parametrize("index", [1, 0], ids=["beside-one", "alone"])
@@ -287,7 +299,9 @@ def five_rounds(data: int, entangle: bool = False) -> Circuit:
 ], ids=["cccz", "hidden-reset", "pruned"])
 def test_history_table_is_sorted_and_densely_numbered(circuit, outcomes):
     x = np.arange(1 << len(circuit.data_qubits), dtype=np.int64)  # data on wires 0..d-1
-    history, inputs, basis_index, amps, got, starts = histories(circuit, x, x, np.ones(len(x), complex))
+    labels = require_key_room(circuit, len(circuit.data_qubits))
+    history, inputs, basis_index, amps, got, starts = histories(
+        circuit, len(circuit.data_qubits), x, np.ones(len(x), complex), labels)
     assert got == outcomes
     assert len(history) == len(inputs) == len(basis_index) == len(amps)
     assert (np.lexsort((basis_index, inputs, history)) == np.arange(len(history))).all()

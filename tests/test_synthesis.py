@@ -139,6 +139,11 @@ def test_cnz_rejects_invalid_requests():
         CnZSpec(1)
     with pytest.raises(ValueError, match="optimized requires n >= 3"):
         synth_cnz(CnZSpec(2), Method.OPTIMIZED)
+    # the baseline ladder takes 2n qubits and the register at most 2^16: refused before it is built
+    assert CnZSpec(32768).n == 32768
+    with pytest.raises(ValueError) as raised:
+        CnZSpec(32769)
+    assert str(raised.value) == "C^nZ synthesis allows at most 32768 controls, got n=32769"
 
 
 def test_cnz_optimized_n3_is_the_cccz():

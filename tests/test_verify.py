@@ -164,6 +164,23 @@ def test_check_implements_flags_outcome_dependent_gate():
     assert verdict.ancilla_clean
 
 
+def test_history_within_tolerance_of_zero_fits_no_phase():
+    # three rounds that each measure the ancilla as 0 with probability ~0.00314: the
+    # all-zeros history's entries, ~1.8e-4, outweigh the prune threshold but lie within
+    # the tolerance, so K_h ~ 0: c_h = 0, and its deviation is its largest entry
+    bld = CircuitBuilder(2, (0,))
+    for _ in range(3):
+        for gate in "hththtthththttththth":
+            getattr(bld, gate)(1)
+        bld.measure(1)
+        bld.reset(1)
+    verdict = check_implements(bld.build(), np.eye(2), tolerance=5e-4)
+    zero = verdict.branch_reports[0]
+    assert (zero.outcomes, zero.probability, zero.phase) == ((0, 0, 0), 0.0, 1 + 0j)
+    assert 1e-4 < zero.max_deviation < 5e-4
+    assert verdict.passed
+
+
 def test_check_implements_accepts_measured_out_unreset_ancilla():
     # without the reset the wire ends holding the recorded outcome: still clean
     ops = tuple(op for op in cccz_6t().ops if op.gate is not Gate.RESET)
@@ -340,7 +357,7 @@ def test_echo_resets_take_no_key_bits(n, bits, with_echoes):
     # ancilla's reset echoes its measurement. Counted without simulating.
     circuit = synth_cnz(CnZSpec(n), Method.BASELINE)
     base = circuit.qubit_count + len(circuit.data_qubits)
-    labels, _ = simulator._event_bits(circuit.ops, base)
+    labels, _ = simulator.require_key_room(circuit, len(circuit.data_qubits))
     events = sum(not op.gate.is_unitary for op in circuit.ops)
     assert (base + len(labels), base + events) == (bits, with_echoes)
 

@@ -62,7 +62,7 @@ def assert_matches_dense_oracle(circuit: Circuit, seed: int = 0) -> None:
 
 def labels(circuit: Circuit) -> int:
     """Label bits the circuit's events take: one per MEASURE and per RESET but the echoes."""
-    return len(simulator._event_bits(circuit.ops, 0)[0])
+    return len(simulator.require_key_room(circuit, 0)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,7 +165,7 @@ def test_every_small_circuit_makes_sound_claims():
     x = np.arange(4, dtype=np.int64)
     with checked_splits(3) as claims:
         for circuit in circuits:
-            simulator.histories(circuit, x, x, np.ones(4, complex))
+            simulator.histories(circuit, 2, x, np.ones(4, complex), simulator.require_key_room(circuit, 2))
     assert claims == {"classical": 38328}
 
 
@@ -224,8 +224,9 @@ def test_every_small_feedback_circuit_makes_sound_claims():
     x = np.arange(4, dtype=np.int64)
     with checked_splits(3) as claims:
         for circuit in circuits:
-            for inputs, amps in [(x, np.ones(4, complex)), (np.zeros_like(x), np.full(4, 0.5 + 0j))]:
-                history, column, basis, *_ = simulator.histories(circuit, inputs, x, amps)
+            for input_bits, amps in [(2, np.ones(4, complex)), (0, np.full(4, 0.5 + 0j))]:
+                maps = simulator.require_key_room(circuit, input_bits)
+                history, column, basis, *_ = simulator.histories(circuit, input_bits, x, amps, maps)
                 assert ((np.diff(history) != 0) | (np.diff(column) != 0) | (np.diff(basis) != 0)).all()
     assert claims == {"classical": 4010}
 
