@@ -46,7 +46,6 @@ __all__ = [
     "CircuitError",
     "CnZSpec",
     "CodecError",
-    "ComparisonRow",
     "DEFAULT_TOLERANCE",
     "Gate",
     "Method",
@@ -61,7 +60,6 @@ __all__ = [
     "cccz_6t",
     "check_implements",
     "check_phase_identity",
-    "compare",
     "compose",
     "count",
     "emit_text",
@@ -82,7 +80,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("CodecError", "QUIRK_URL_PREFIX", "emit_text", "export_quirk_url",
                      "parse_quirk_url", "parse_text"), "codec"),
-    **dict.fromkeys(("ComparisonRow", "ResourceCount", "compare", "count"), "resources"),
+    **dict.fromkeys(("ResourceCount", "count"), "resources"),
 }
 
 

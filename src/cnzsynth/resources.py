@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .circuit import Circuit, Gate, NON_CLIFFORD, require_valid
-from .synthesis import CnZSpec, Method, synth_cnz
 
 
 @dataclass(frozen=True)
@@ -23,16 +22,6 @@ class ResourceCount:
 
     def to_dict(self) -> dict[str, int]:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Counted T costs of both C^nZ methods for one n."""
-
-    n: int
-    baseline_t: int
-    optimized_t: int
-    saving: int
 
 
 def count(circuit: Circuit) -> ResourceCount:
@@ -55,14 +44,3 @@ def count(circuit: Circuit) -> ResourceCount:
         ancillas=len(circuit.ancilla_qubits),
         conditioned_gates=conditioned,
     )
-
-
-def compare(spec: CnZSpec) -> ComparisonRow:
-    """T costs of both methods for ``spec``, counted from actual circuits.
-
-    Counting, not the closed forms, is authoritative; callers asserting the
-    4n-4 / 4n-6 formulas do so against these counted values.
-    """
-    baseline_t = count(synth_cnz(spec, Method.BASELINE)).t
-    optimized_t = count(synth_cnz(spec, Method.OPTIMIZED)).t
-    return ComparisonRow(spec.n, baseline_t, optimized_t, baseline_t - optimized_t)

@@ -171,9 +171,7 @@ def labeled_pass(ops: tuple[Op, ...], keys: np.ndarray, amps: np.ndarray, labels
             # CX its target, MEASURE its label, RESET its wire and label (an echo its wire)
             src = 0 if gate == "x" else 1 << q
             flip = (1 << event_label[i] if i in event_label else 0) | (0 if gate == "m" else wire)
-            if flip == src:  # an echo flips its wire where the wire holds 1: it clears it
-                keys &= ~wire
-            elif care or not src:
+            if care or not src:
                 np.bitwise_xor(keys, flip, out=keys, where=(keys & (care | src)) == (want | src))
             else:  # keys & src is 0 or 2^q: shift it onto flip
                 held = keys & src

@@ -10,7 +10,7 @@ import pytest
 
 from cnzsynth import (
     DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t,
-    check_implements, emit_text, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
+    check_implements, count, emit_text, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
 from cnzsynth import cli
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
@@ -442,6 +442,28 @@ def test_table_savings_all_two(capsys):
 def test_table_rejects_small_n_max(capsys):
     code, _, _ = run(capsys, "table", "--n-max", "2")
     assert code == 2
+
+
+def test_table_rows_equal_the_counted_ladders(capsys):
+    # the table counts n = 3 and 4 and adds one link per control: each row is a full count
+    code, stdout, _ = run(capsys, "table", "--n-max", "64")
+    assert code == 0
+    rows = [[int(x) for x in line.split()] for line in stdout.splitlines()[1:]]
+    expected = []
+    for n in range(3, 65):
+        base, opt = (count(synth_cnz(CnZSpec(n), m)).t for m in (Method.BASELINE, Method.OPTIMIZED))
+        expected.append([n, base, opt, base - opt])
+    assert rows == expected
+
+
+def test_table_at_the_register_bound_is_fast(capsys):
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "table", "--n-max", "32768")
+    assert time.perf_counter() - start < 1
+    assert (code, stderr) == (0, "")
+    lines = stdout.splitlines()
+    assert len(lines) == 32767
+    assert lines[-1] == "32768      131068       131066       2"
 
 
 @pytest.mark.parametrize("command", [["synth", "--gate", "cnz", "-n", "32769"], ["table", "--n-max", "32769"]],

@@ -8,7 +8,6 @@ from cnzsynth import (
     CnZSpec,
     Method,
     cccz_6t,
-    compare,
     count,
     synth_cnz,
 )
@@ -48,20 +47,16 @@ def test_count_rejects_invalid_circuit():
         count(broken)
 
 
-@pytest.mark.parametrize("n,expected", [(3, (8, 6, 2)), (4, (12, 10, 2)), (6, (20, 18, 2))])
+def counted_t(n: int) -> tuple[int, int]:
+    """Counted T costs of the baseline and the optimized C^nZ ladder."""
+    return tuple(count(synth_cnz(CnZSpec(n), m)).t for m in (Method.BASELINE, Method.OPTIMIZED))
+
+
+@pytest.mark.parametrize("n,expected", [(3, (8, 6)), (4, (12, 10)), (6, (20, 18))])
 def test_compare_known_rows(n, expected):
-    row = compare(CnZSpec(n))
-    assert (row.baseline_t, row.optimized_t, row.saving) == expected
+    assert counted_t(n) == expected
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_compare_matches_closed_forms(n):
-    row = compare(CnZSpec(n))
-    assert row.baseline_t == 4 * n - 4
-    assert row.optimized_t == 4 * n - 6
-    assert row.saving == 2
-
-
-def test_compare_rejects_n_below_three():
-    with pytest.raises(ValueError, match="n >= 3"):
-        compare(CnZSpec(2))
+    assert counted_t(n) == (4 * n - 4, 4 * n - 6)
