@@ -69,6 +69,12 @@ def _parse_target(label: str) -> tuple[int, bool]:
         f"unknown verification target {label!r} (expected cccz, cccx, cnz:N or cnx:N)")
 
 
+@functools.cache  # the proof module: imported by the first verify, kept across package re-imports
+def _path_sum():
+    from . import pathsum
+    return pathsum
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.input)
     n, x_target = _parse_target(args.against)
@@ -78,18 +84,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{len(circuit.data_qubits)} data qubits")
     if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
         circuit = _conjugate_target_with_h(circuit)
-    verdict = check_implements(circuit, oracle_cnz(n))
+    proof = _path_sum().certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
+    verdict = proof or check_implements(circuit, oracle_cnz(n))
+    # a proof past pathsum.MAX_REPORTS outcome strings has the one report they all share
+    count = 1 << len(verdict.branch_reports[0].outcomes) if proof else len(verdict.branch_reports)
+    shared = count > len(verdict.branch_reports)
     branches = []
     for r in verdict.branch_reports:
-        outcomes = "".join(str(b) for b in r.outcomes)
+        outcomes = f"each of {count}" if shared else "".join(str(b) for b in r.outcomes)
         print(f"outcomes={outcomes or '-'} p={r.probability:.6f} "
               f"phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
               f"max_deviation={r.max_deviation:.3e}", file=sys.stderr)
         branches.append({"outcomes": outcomes, "probability": r.probability,
                          "phase": [r.phase.real, r.phase.imag], "max_deviation": r.max_deviation})
+    if shared:
+        branches = {"count": count, "probability": r.probability, "phase": branches[0]["phase"]}
     print(f"ancilla_clean={verdict.ancilla_clean} "
           f"probability_total={verdict.probability_total:.9f} "
           f"passed={verdict.passed}", file=sys.stderr)
+    if proof is not None:
+        print("route=path-sum", file=sys.stderr)
     print(json.dumps({"passed": verdict.passed, "ancilla_clean": verdict.ancilla_clean,
                       "probability_total": verdict.probability_total, "branches": branches}))
     return 0 if verdict.passed else 1

@@ -80,19 +80,33 @@ def test_star_import_and_dir_list_every_public_name():
     assert PUBLIC <= set(listed)
 
 
-def test_a_reimport_leaves_the_first_package_on_its_own_classes():
-    # the benchmark's set-up: import, drop every cnzsynth module, import again
-    out = run_fresh("""
+def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
+    # the benchmark's set-up: import, drop every cnzsynth module, import again; its
+    # operations keep the first cli, whose first verify loaded the proof module for good
+    path = tmp_path / "cccz.qct"
+    out = run_fresh(f"""
+        import contextlib
         import importlib
+        import io
         import sys
         first = importlib.import_module("cnzsynth")
-        importlib.import_module("cnzsynth.cli")
+        cli = importlib.import_module("cnzsynth.cli")
+        print("cnzsynth.pathsum" not in sys.modules)
+        with open({str(path)!r}, "w") as f:
+            f.write(first.emit_text(first.cccz_6t()))
+
+        def verify():
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return cli.main(["verify", "--in", {str(path)!r}, "--against", "cccz"])
+
+        print(verify() == 0, "cnzsynth.pathsum" in sys.modules)
         for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
             del sys.modules[name]
         second = importlib.import_module("cnzsynth")
         importlib.import_module("cnzsynth.cli")
         back = first.parse_text(first.emit_text(first.cccz_6t()))
         print(second is not first, second.Circuit is not first.Circuit,
-              type(back) is first.Circuit, back == first.cccz_6t())
+              type(back) is first.Circuit, back == first.cccz_6t(), verify() == 0,
+              "cnzsynth.pathsum" not in sys.modules)
     """)
-    assert out.split() == ["True"] * 4
+    assert out.split() == ["True"] * 9

@@ -11,7 +11,7 @@ import pytest
 from cnzsynth import (
     DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t,
     check_implements, count, emit_text, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
-from cnzsynth import cli
+from cnzsynth import cli, pathsum
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 from test_mutants import single_point_mutants
@@ -217,8 +217,16 @@ def test_an_error_without_a_message_is_named_by_its_type(tmp_path, capsys, monke
     assert run(capsys, "count", "--in", str(path)) == (2, "", "error: MemoryError\n")
 
 
+def undecided_cccz() -> Circuit:
+    """cccz_6t and then, where its outcome is 1, H twice on its reset ancilla: the same
+    channel, but the path sum leaves a conditioned H undecided."""
+    cccz = cccz_6t()
+    h = Op(Gate.H, (4,), None, (0, 1))
+    return Circuit(cccz.qubit_count, cccz.bit_count, cccz.ops + (h, h), cccz.data_qubits)
+
+
 def test_verify_tolerance_defaults_to_the_library_default(tmp_path, capsys, monkeypatch):
-    # verify has no tolerance flag: every check runs at the library default
+    # verify has no tolerance flag: every brute-force check runs at the library default
     seen = []
 
     def spy(circuit, target, tolerance=DEFAULT_TOLERANCE):
@@ -226,10 +234,78 @@ def test_verify_tolerance_defaults_to_the_library_default(tmp_path, capsys, monk
         return check_implements(circuit, target, tolerance)
     monkeypatch.setattr(cli, "check_implements", spy)
     path = tmp_path / "c.qct"
-    run(capsys, "synth", "--gate", "cccz", "--out", str(path))
-    code, _, _ = run(capsys, "verify", "--in", str(path), "--against", "cccz")
+    path.write_text(emit_text(undecided_cccz()))
+    code, _, stderr = run(capsys, "verify", "--in", str(path), "--against", "cccz")
     assert code == 0
     assert seen == [DEFAULT_TOLERANCE]
+    assert "route=" not in stderr
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_a_proved_ladder_never_reaches_brute_force(tmp_path, capsys, monkeypatch, method):
+    def refuse(*args):
+        raise AssertionError("brute force was called")
+    monkeypatch.setattr(cli, "oracle_cnz", refuse)
+    monkeypatch.setattr(cli, "check_implements", refuse)
+    path = tmp_path / "c.qct"
+    path.write_text(emit_text(synth_cnz(CnZSpec(5), method)))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:5")
+    assert code == 0
+    assert stderr.endswith("passed=True\nroute=path-sum\n")
+    verdict = json.loads(stdout)
+    m = 4 if method is Method.BASELINE else 3
+    assert (verdict["passed"], verdict["ancilla_clean"], verdict["probability_total"]) == (True, True, 1.0)
+    assert verdict["branches"] == [
+        {"outcomes": f"{i:0{m}b}", "probability": 2.0 ** -m, "phase": [1.0, 0.0], "max_deviation": 0.0}
+        for i in range(2 ** m)]
+
+
+def test_a_proof_lists_up_to_max_reports_and_summarizes_above(tmp_path, capsys):
+    # the baseline ladder measures n - 1 times: 2^12 outcome strings at n = 13, 2^13 at n = 14
+    assert pathsum.MAX_REPORTS == 4096
+    for n, listed in ((13, True), (14, False)):
+        path = tmp_path / f"c{n}.qct"
+        path.write_text(emit_text(synth_cnz(CnZSpec(n), Method.BASELINE)))
+        code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", f"cnz:{n}")
+        assert code == 0
+        branches = json.loads(stdout)["branches"]
+        lines = stderr.splitlines()
+        assert lines[-1] == "route=path-sum"
+        if listed:
+            assert len(branches) == len(lines) - 2 == 4096
+            assert branches[-1] == {"outcomes": "1" * 12, "probability": 2.0 ** -12,
+                                    "phase": [1.0, 0.0], "max_deviation": 0.0}
+        else:
+            assert branches == {"count": 8192, "probability": 2.0 ** -13, "phase": [1.0, 0.0]}
+            assert lines[0] == ("outcomes=each of 8192 p=0.000122 phase=+1.000000+0.000000j "
+                                "max_deviation=0.000e+00")
+
+
+def test_a_proof_whose_phases_differ_above_max_reports_falls_back(tmp_path, capsys, monkeypatch):
+    # the Z on the measured ancilla gives outcome 1 the phase -1
+    path = tmp_path / "c.qct"
+    path.write_text("qubits 3\nbits 1\ndata 0 1\nh 2\nm 2 -> b0\nz 2\nreset 2\ncz 0 1\n")
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:1")
+    assert (code, stderr.splitlines()[-1]) == (0, "route=path-sum")
+    assert [b["phase"] for b in json.loads(stdout)["branches"]] == [[1.0, 0.0], [-1.0, 0.0]]
+    monkeypatch.setattr(pathsum, "MAX_REPORTS", 1)
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:1")
+    assert code == 0
+    assert "route=" not in stderr
+    assert len(json.loads(stdout)["branches"]) == 2
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_verify_proves_a_64_control_ladder_in_under_a_second(tmp_path, capsys, method):
+    path = tmp_path / "c.qct"
+    path.write_text(emit_text(synth_cnz(CnZSpec(64), method)))
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "verify", "--in", str(path), "--against", "cnz:64")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    m = 63 if method is Method.BASELINE else 62
+    assert json.loads(stdout)["branches"] == {"count": 2 ** m, "probability": 2.0 ** -m,
+                                              "phase": [1.0, 0.0]}
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])

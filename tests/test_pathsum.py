@@ -1,0 +1,127 @@
+"""Soundness of the path-sum proof against the brute-force verdict.
+
+Wherever ``pathsum.certify`` proves a pass, ``check_implements`` must pass with
+the same outcome strings, and with each one's probability and phase within
+1e-12. The inputs are every single-point mutant of ``cccz_6t`` and of both
+ladders at n <= 4, a seeded random net of small circuits over the whole
+alphabet, and the paper's circuits, which must all be proved.
+"""
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from cnzsynth import (
+    Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, and_compute, and_uncompute, cccz_6t,
+    check_implements, compose, oracle_cnz, parse_quirk_url, synth_cnz, validate)
+from cnzsynth.pathsum import certify
+from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
+from test_mutants import single_point_mutants
+
+
+def cnz_term(n: int) -> dict[int, int]:
+    """C^nZ as a phase polynomial: ω^(4·x0·…·xn)."""
+    return {(2 << n) - 1: 4}
+
+
+def proved(circuit: Circuit, term: dict[int, int], target: np.ndarray) -> bool:
+    """Whether ``certify`` proves ``circuit``; if so, assert that brute force agrees."""
+    proof = certify(circuit, term)
+    if proof is None:
+        return False
+    verdict = check_implements(circuit, target)
+    assert (proof.passed, proof.ancilla_clean, proof.probability_total) == (True, True, 1.0)
+    assert verdict.passed
+    assert [r.outcomes for r in proof.branch_reports] == [r.outcomes for r in verdict.branch_reports]
+    for exact, brute in zip(proof.branch_reports, verdict.branch_reports):
+        assert abs(exact.probability - brute.probability) <= 1e-12
+        assert abs(exact.phase - brute.phase) <= 1e-12
+        assert exact.max_deviation == 0.0
+    return True
+
+
+def paper_circuits() -> list:
+    out = [pytest.param(cccz_6t(), 3, id="cccz"),
+           pytest.param(parse_quirk_url(REFERENCE_QUIRK_CCCZ_URL), 3, id="quirk-fixture")]
+    for method in Method:
+        for n in range(2 if method is Method.BASELINE else 3, 10):
+            out.append(pytest.param(synth_cnz(CnZSpec(n), method), n, id=f"cnz{n}-{method.value}"))
+    return out
+
+
+@pytest.mark.parametrize("circuit, n", paper_circuits())
+def test_the_paper_circuits_are_proved_and_match_brute_force(circuit, n):
+    assert proved(circuit, cnz_term(n), oracle_cnz(n))
+
+
+def identities() -> list:
+    and_pair = compose(and_compute(0, 1, 2), and_uncompute(0, 1, 2))
+    return [
+        pytest.param(and_pair, id="and-pair"),
+        pytest.param(compose(cccz_6t(), cccz_6t()), id="cccz-twice"),
+        pytest.param(CircuitBuilder(2, (0,)).h(1).reset(1).build(), id="h-reset"),
+    ]
+
+
+@pytest.mark.parametrize("circuit", identities())
+def test_identity_channels_are_proved_against_the_empty_phase(circuit):
+    # a hidden reset outcome is a variable r of its own: h 1; reset 1 has two histories
+    assert proved(circuit, {}, np.eye(2 ** len(circuit.data_qubits)))
+
+
+# every mutant that brute force accepts is proved: an AND's first CX or an ancilla's final reset deleted
+@pytest.mark.parametrize("circuit, n, valid, accepted", [
+    pytest.param(cccz_6t(), 3, 54, 1, id="cccz"),
+    pytest.param(synth_cnz(CnZSpec(2), Method.BASELINE), 2, 38, 2, id="cnz2-baseline"),
+    pytest.param(synth_cnz(CnZSpec(3), Method.BASELINE), 3, 109, 4, id="cnz3-baseline"),
+    pytest.param(synth_cnz(CnZSpec(4), Method.BASELINE), 4, 214, 6, id="cnz4-baseline"),
+    pytest.param(synth_cnz(CnZSpec(4), Method.OPTIMIZED), 4, 134, 3, id="cnz4-optimized"),
+])
+def test_every_proved_single_point_mutant_passes_brute_force(circuit, n, valid, accepted):
+    mutants = {m.ops: m for kind in single_point_mutants(circuit).values() for _, m in kind}
+    assert len(mutants) == valid
+    assert sum(proved(m, cnz_term(n), oracle_cnz(n)) for m in mutants.values()) == accepted
+
+
+def random_circuit(rng: random.Random) -> Circuit:
+    """3 or 4 qubits, data 0 and 1, up to 10 ops from the whole alphabet; a
+    non-measurement op is conditioned on an earlier bit a third of the time."""
+    qubits, ops, bits = rng.choice((3, 4)), [], 0
+    for _ in range(rng.randint(0, 10)):
+        gate = rng.choice(list(Gate))
+        wires = tuple(rng.sample(range(qubits), gate.arity))
+        if gate is Gate.MEASURE:
+            ops.append(Op(gate, wires, bits))
+            bits += 1
+        else:
+            condition = (rng.randrange(bits), rng.randint(0, 1)) if bits and rng.random() < 1 / 3 else None
+            ops.append(Op(gate, wires, None, condition))
+    return Circuit(qubits, bits, tuple(ops), frozenset({0, 1}))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_proved_random_circuit_passes_brute_force(seed):
+    # each against CZ and against the identity on its data qubits
+    rng, valid, cz, identity = random.Random(seed), 0, 0, 0
+    for _ in range(15_000):
+        circuit = random_circuit(rng)
+        if not validate(circuit):
+            valid += 1
+            cz += proved(circuit, cnz_term(1), oracle_cnz(1))
+            identity += proved(circuit, {}, np.eye(4))
+    assert valid > 12_000
+    assert cz >= 30 and identity >= 1_500  # about 0.4 % and 16 % of the valid draws
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_a_ladder_is_not_proved_against_the_identity_or_past_a_conditioned_h(method):
+    ladder = synth_cnz(CnZSpec(4), method)
+    assert certify(ladder, cnz_term(4)) is not None
+    assert certify(ladder, {}) is None
+    h = Op(Gate.H, (ladder.qubit_count - 1,), None, (0, 1))
+    twice = Circuit(ladder.qubit_count, ladder.bit_count, ladder.ops + (h, h), ladder.data_qubits)
+    assert check_implements(twice, oracle_cnz(4)).passed
+    assert certify(twice, cnz_term(4)) is None
+
