@@ -89,16 +89,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # a proof past pathsum.MAX_REPORTS outcome strings has the one report they all share
     count = 1 << len(verdict.branch_reports[0].outcomes) if proof else len(verdict.branch_reports)
     shared = count > len(verdict.branch_reports)
-    branches = []
+    lines, branches, shown = [], [], {}
     for r in verdict.branch_reports:
-        outcomes = f"each of {count}" if shared else "".join(str(b) for b in r.outcomes)
-        print(f"outcomes={outcomes or '-'} p={r.probability:.6f} "
-              f"phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
-              f"max_deviation={r.max_deviation:.3e}", file=sys.stderr)
-        branches.append({"outcomes": outcomes, "probability": r.probability,
-                         "phase": [r.phase.real, r.phase.imag], "max_deviation": r.max_deviation})
-    if shared:
-        branches = {"count": count, "probability": r.probability, "phase": branches[0]["phase"]}
+        # each distinct report's values formatted once; a proof's reports share theirs. Keyed by
+        # identity, as equal floats may differ in the sign of a zero, which prints
+        key = id(r.probability), id(r.phase), id(r.max_deviation)
+        if key not in shown:
+            prob = f"{r.probability:.6f}" if r.probability or not shared else f"2^-{len(r.outcomes)}"
+            shown[key] = (f"p={prob} phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
+                          f"max_deviation={r.max_deviation:.3e}\n", [r.phase.real, r.phase.imag])
+        text, phase = shown[key]
+        outcomes = f"each of {count}" if shared else "".join(map(str, r.outcomes))
+        lines.append(f"outcomes={outcomes or '-'} {text}")
+        branches.append({"outcomes": outcomes, "probability": r.probability, "phase": phase,
+                         "max_deviation": r.max_deviation})
+    sys.stderr.write("".join(lines))
+    if shared:  # 2^-m past 1074 measurements is no float: its log2 instead
+        prob = {"probability": r.probability} if r.probability else {"log2_probability": -len(r.outcomes)}
+        branches = {"count": count, **prob, "phase": phase}
     print(f"ancilla_clean={verdict.ancilla_clean} "
           f"probability_total={verdict.probability_total:.9f} "
           f"passed={verdict.passed}", file=sys.stderr)

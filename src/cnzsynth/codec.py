@@ -104,8 +104,13 @@ def parse_text(doc: str) -> Circuit:
     seen_header = {"qubits": False, "bits": False, "data": False}
     ops: list[Op] = []
     op_lines: list[int] = []
+    known: dict[str, Op] = {}  # each distinct op line, converted once
 
     for lineno, raw in enumerate(doc.splitlines(), start=1):
+        if raw in known:
+            ops.append(known[raw])
+            op_lines.append(lineno)
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -152,7 +157,12 @@ def parse_text(doc: str) -> Circuit:
                 raise CodecError(f"line {lineno}: usage: m <q> -> b<k>")
             bit, tokens = int(m.group(1)), tokens[:2]
         # operand count and a condition on a measurement are validate's rules, reported by line below
-        ops.append(Op(gate, tuple(_parse_int(t, lineno, "qubit") for t in tokens[1:]), bit, condition))
+        operands = tokens[1:]
+        digits = "".join(operands)
+        qubits = (tuple(map(int, operands)) if digits.isascii() and digits.isdigit()
+                  else tuple(_parse_int(t, lineno, "qubit") for t in operands))
+        known[raw] = Op(gate, qubits, bit, condition)
+        ops.append(known[raw])
         op_lines.append(lineno)
 
     if data is None:

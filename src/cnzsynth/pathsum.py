@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations, count
+from itertools import combinations, count, product
 from operator import or_
 
 from .verify import BranchReport, ChannelVerdict
@@ -22,8 +22,8 @@ MAX_REPORTS = 1 << 12
 #: Z8 exponent that each diagonal gate adds where all its wires hold 1
 _PHASES = {"z": 4, "s": 2, "sdg": 6, "t": 1, "tdg": 7, "cz": 4}
 #: ω^k, as exact as floats allow
-_OMEGA = (1, (1 + 1j) * math.sqrt(0.5), 1j, (-1 + 1j) * math.sqrt(0.5),
-          -1, (-1 - 1j) * math.sqrt(0.5), complex(0, -1), (1 - 1j) * math.sqrt(0.5))
+_OMEGA = (complex(1), (1 + 1j) * math.sqrt(0.5), 1j, (-1 + 1j) * math.sqrt(0.5),
+          complex(-1), (-1 - 1j) * math.sqrt(0.5), complex(0, -1), (1 - 1j) * math.sqrt(0.5))
 
 
 def _times(a, b) -> set[int]:
@@ -52,31 +52,55 @@ def _lift(phase: dict[int, int], c: int, poly) -> None:
             del phase[m]
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 class _PathSum:
     """√2^e · Σ_y ω^phase |wires⟩ over the live path variables y."""
 
     def __init__(self, wires: list[set[int]], first: int):
         self.wires, self.masks = wires, [reduce(or_, form, 0) for form in wires]  # each wire's variables
         self.phase, self.e, self.fresh = {}, 0, (1 << i for i in count(first))  # variable bits from first
-        self.paths: set[int] = set()  # live path variables, one bit each
+        self.paths = self.free = 0  # the live path variables, and those on no wire: one bit each
+        self.holders: dict[int, set[int]] = {}  # each live path variable on a wire -> its wires
 
     def h(self, q: int) -> None:
         y = next(self.fresh)
-        self.paths.add(y)
+        self.paths |= y
         _lift(self.phase, 4, {m | y for m in self.wires[q]})  # 4·lift(w)·y = 4·(w·y) mod 8
         self.e -= 1
         self.write(q, {y})
 
     def write(self, q: int, form: set[int]) -> None:
         """Give wire q a new form; sum out a path variable that this takes off every wire."""
-        left, self.wires[q], self.masks[q] = self.masks[q], form, reduce(or_, form, 0)
-        if left & ~self.masks[q] & sum(self.paths):
+        if self.put(q, form):
             self.reduce_all()
+
+    def put(self, q: int, form: set[int]) -> int:
+        """Give wire q a new form and index the path variables it gains and loses; the
+        mask of those now on no wire."""
+        old, new = self.masks[q], reduce(or_, form, 0)
+        self.wires[q], self.masks[q] = form, new
+        gained, freed = new & ~old & self.paths, 0
+        for y in _bits(gained):
+            self.holders.setdefault(y, set()).add(q)
+        for y in _bits(old & ~new & self.paths):
+            self.holders[y].discard(q)
+            if not self.holders[y]:
+                del self.holders[y]
+                freed |= y
+        self.free = self.free & ~gained | freed
+        return freed
 
     def linear(self, poly) -> int:
         """The highest path variable that is a monomial of ``poly`` and in no other; or 0."""
-        return max((m for m in poly if m in self.paths and all(n == m or not n & m for n in poly)),
-                   default=0)
+        return max((m for m in poly if not m & (m - 1) and m & self.paths
+                    and all(n == m or not n & m for n in poly)), default=0)
 
     def solve(self, q: int, var: int) -> bool:
         """Project wire q onto ``var`` by y := var ⊕ (the rest), for a y it holds linearly."""
@@ -86,23 +110,24 @@ class _PathSum:
             self.reduce_all()
         return bool(y)
 
+    def drop(self, y: int) -> None:
+        """y leaves the sum."""
+        self.paths &= ~y
+        self.free &= ~y
+
     def substitute(self, y: int, poly: set[int]) -> None:
         """y := poly in every wire and in the phase."""
-        for q, mask in enumerate(self.masks):
-            if mask & y:
-                hit = {m for m in self.wires[q] if m & y}
-                form = self.wires[q] = (self.wires[q] - hit) ^ _times({m ^ y for m in hit}, poly)
-                self.masks[q] = reduce(or_, form, 0)
+        self.drop(y)
+        for q in self.holders.pop(y, ()):
+            hit = {m for m in self.wires[q] if m & y}
+            self.put(q, (self.wires[q] - hit) ^ _times({m ^ y for m in hit}, poly))
         for m in [m for m in self.phase if m & y]:
             _lift(self.phase, self.phase.pop(m), _times({m ^ y}, poly))
-        self.paths.discard(y)
 
     def reduce_all(self) -> None:
-        """Sum out path variables on no wire while a rule takes one."""
-        while True:
-            on = reduce(or_, self.masks, 0)
-            if not any(self.sum_out(y) for y in sorted(self.paths) if not y & on):
-                return
+        """Sum out path variables on no wire, lowest first, while a rule takes one."""
+        while any(self.sum_out(y) for y in _bits(self.free)):
+            pass
 
     def sum_out(self, y: int) -> bool:
         """Σ_y ω^phase for a y on no wire; False, changing nothing, if no rule applies."""
@@ -115,7 +140,7 @@ class _PathSum:
         if linear in (0, 4) and rest and not other:
             return False
         self.phase = {m: c for m, c in self.phase.items() if not m & y}
-        self.paths.discard(y)
+        self.drop(y)
         if linear in (2, 6):  # ω: Σ_y ω^(2y + 4y·B) = √2·ω^(1 − 2B)
             self.e += 1
             _lift(self.phase, 1, {0})
@@ -131,7 +156,8 @@ def certify(circuit, target: dict[int, int]) -> ChannelVerdict | None:
     """The exact verdict of a valid ``circuit`` proved to be ω^target up to an input-independent
     phase on every branch (``target`` maps monomials over the data qubits, bit i the i-th
     lowest, to exponents mod 8): each outcome string's report, or past MAX_REPORTS strings
-    the one they all share. None where undecided."""
+    the one they all share; reports of equal values share the value objects. None where
+    undecided."""
     data = {q: 1 << i for i, q in enumerate(sorted(circuit.data_qubits))}  # x_i on wire q
     inputs = (1 << len(data)) - 1
     s = _PathSum([{data[q]} if q in data else set() for q in range(circuit.qubit_count)], len(data))
@@ -156,7 +182,7 @@ def certify(circuit, target: dict[int, int]) -> ChannelVerdict | None:
             r = next(s.fresh)
             if s.solve(q, r):
                 hidden |= r
-            elif s.masks[q] & (inputs | sum(s.paths)):
+            elif s.masks[q] & (inputs | s.paths):
                 return None
             s.write(q, set())
         else:  # H, or √X(†) = H·S(†)·H
@@ -177,10 +203,11 @@ def certify(circuit, target: dict[int, int]) -> ChannelVerdict | None:
     varies = phase.keys() - {0}
     if 1 << m > MAX_REPORTS and varies:
         return None  # too many outcome strings to list, with more than one phase
-    reports = []
-    for index in range(1 << m if 1 << m <= MAX_REPORTS else 1):
-        outcomes = tuple(map(int, bin(index | 1 << m)[3:]))  # the first measurement highest
-        held = sum(o for o, b in zip(bits.values(), outcomes) if b) if varies else 0
-        k = sum(c for mask, c in phase.items() if mask & held == mask) & 7
-        reports.append(BranchReport(outcomes, math.ldexp(1.0, -m), complex(_OMEGA[k]), 0.0))
+    p, k = math.ldexp(1.0, -m), phase.get(0, 0)  # p is 0.0 past 1074 measurements
+    reports = []  # the first measurement highest
+    for outcomes in product((0, 1), repeat=m) if 1 << m <= MAX_REPORTS else [(0,) * m]:
+        if varies:
+            held = sum(o for o, b in zip(bits.values(), outcomes) if b)
+            k = sum(c for mask, c in phase.items() if mask & held == mask) & 7
+        reports.append(BranchReport(outcomes, p, _OMEGA[k], 0.0))
     return ChannelVerdict(True, tuple(reports), True, 1.0)

@@ -308,6 +308,55 @@ def test_verify_proves_a_64_control_ladder_in_under_a_second(tmp_path, capsys, m
                                               "phase": [1.0, 0.0]}
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_verify_proves_a_2048_control_ladder_in_under_two_seconds(tmp_path, capsys, method):
+    # the proof visits only the wires that hold the path variable in hand, so its cost grows with the circuit
+    path = tmp_path / "c.qct"
+    path.write_text(emit_text(synth_cnz(CnZSpec(2048), method)))
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:2048")
+    assert time.perf_counter() - start < 2
+    assert (code, stderr.splitlines()[-1]) == (0, "route=path-sum")
+    m = 2047 if method is Method.BASELINE else 2046
+    assert json.loads(stdout)["branches"] == {"count": 2 ** m, "log2_probability": -m, "phase": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("n, probability, p", [
+    pytest.param(1075, '"probability": 5e-324', "0.000000", id="cnz1075"),
+    pytest.param(1100, '"log2_probability": -1099', "2^-1099", id="cnz1100")])
+def test_a_summary_below_the_least_float_gives_the_log2_of_its_probability(tmp_path, capsys, n, probability, p):
+    # the baseline ladder measures n - 1 times; 2^-1074 is the least float, 2^-1099 underflows to 0.0
+    path = tmp_path / "c.qct"
+    path.write_text(emit_text(synth_cnz(CnZSpec(n), Method.BASELINE)))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", f"cnz:{n}")
+    assert code == 0
+    count = 2 ** (n - 1)
+    assert stdout.endswith(f'"branches": {{"count": {count}, {probability}, "phase": [1.0, 0.0]}}}}\n')
+    assert stderr.startswith(f"outcomes=each of {count} p={p} phase=+1.000000+0.000000j max_deviation=")
+
+
+def test_a_proof_shares_a_constant_phase_across_every_outcome_string(tmp_path, capsys):
+    # x a; z a; x a on a clean ancilla multiplies every branch by -1
+    ladder = synth_cnz(CnZSpec(4), Method.BASELINE)
+    x, z = Op(Gate.X, (ladder.qubit_count - 1,)), Op(Gate.Z, (ladder.qubit_count - 1,))
+    circuit = Circuit(ladder.qubit_count, ladder.bit_count, ladder.ops + (x, z, x), ladder.data_qubits)
+    proof, brute = pathsum.certify(circuit, {(2 << 4) - 1: 4}), check_implements(circuit, oracle_cnz(4))
+    assert proof.passed and brute.passed
+    assert [r.outcomes for r in proof.branch_reports] == [r.outcomes for r in brute.branch_reports]
+    for exact, r in zip(proof.branch_reports, brute.branch_reports):
+        assert (exact.probability, exact.phase, exact.max_deviation) == (0.125, -1, 0.0)
+        assert abs(r.probability - 0.125) <= 1e-12 and abs(r.phase + 1) <= 1e-12
+    path = tmp_path / "c.qct"
+    path.write_text(emit_text(circuit))
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:4")
+    assert (code, stderr.splitlines()[-1]) == (0, "route=path-sum")
+    assert stderr.splitlines()[:8] == [
+        f"outcomes={i:03b} p=0.125000 phase=-1.000000+0.000000j max_deviation=0.000e+00" for i in range(8)]
+    assert json.loads(stdout)["branches"] == [
+        {"outcomes": f"{i:03b}", "probability": 0.125, "phase": [-1.0, 0.0], "max_deviation": 0.0}
+        for i in range(8)]
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1e-3"])
 def test_verify_rejects_meaningless_tolerance(tmp_path, capsys, tolerance):
     # no tolerance can loosen verify: the flag is gone, so a C^3Z with two
