@@ -86,27 +86,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         circuit = _conjugate_target_with_h(circuit)
     proof = _path_sum().certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
     verdict = proof or check_implements(circuit, oracle_cnz(n))
-    # a proof past pathsum.MAX_REPORTS outcome strings has the one report they all share
-    count = 1 << len(verdict.branch_reports[0].outcomes) if proof else len(verdict.branch_reports)
-    shared = count > len(verdict.branch_reports)
-    lines, branches, shown = [], [], {}
-    for r in verdict.branch_reports:
-        # each distinct report's values formatted once; a proof's reports share theirs. Keyed by
-        # identity, as equal floats may differ in the sign of a zero, which prints
-        key = id(r.probability), id(r.phase), id(r.max_deviation)
-        if key not in shown:
-            prob = f"{r.probability:.6f}" if r.probability or not shared else f"2^-{len(r.outcomes)}"
-            shown[key] = (f"p={prob} phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
-                          f"max_deviation={r.max_deviation:.3e}\n", [r.phase.real, r.phase.imag])
-        text, phase = shown[key]
-        outcomes = f"each of {count}" if shared else "".join(map(str, r.outcomes))
-        lines.append(f"outcomes={outcomes or '-'} {text}")
-        branches.append({"outcomes": outcomes, "probability": r.probability, "phase": phase,
-                         "max_deviation": r.max_deviation})
-    sys.stderr.write("".join(lines))
-    if shared:  # 2^-m past 1074 measurements is no float: its log2 instead
-        prob = {"probability": r.probability} if r.probability else {"log2_probability": -len(r.outcomes)}
-        branches = {"count": count, **prob, "phase": phase}
+    m = proof and len(proof.branch_reports[0].outcomes)
+    if proof and 1 << m > _path_sum().MAX_REPORTS:  # one summary of 2^m equiprobable outcome strings
+        r = proof.branch_reports[0]
+        sys.stderr.write(f"outcomes=each of 2^{m} p=2^-{m} phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
+                         f"max_deviation={r.max_deviation:.3e}\n")
+        branches = {"log2_probability": -m, "phase": [r.phase.real, r.phase.imag]}
+    else:
+        lines, branches, shown = [], [], {}
+        for r in verdict.branch_reports:
+            # each distinct report formatted once; by identity, as equal floats may differ in a zero's sign
+            key = id(r.probability), id(r.phase), id(r.max_deviation)
+            if key not in shown:
+                shown[key] = (f"p={r.probability:.6f} phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
+                              f"max_deviation={r.max_deviation:.3e}\n", [r.phase.real, r.phase.imag])
+            text, phase = shown[key]
+            outcomes = "".join(map(str, r.outcomes))
+            lines.append(f"outcomes={outcomes or '-'} {text}")
+            branches.append({"outcomes": outcomes, "probability": r.probability, "phase": phase,
+                             "max_deviation": r.max_deviation})
+        sys.stderr.write("".join(lines))
     print(f"ancilla_clean={verdict.ancilla_clean} "
           f"probability_total={verdict.probability_total:.9f} "
           f"passed={verdict.passed}", file=sys.stderr)

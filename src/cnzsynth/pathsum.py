@@ -155,9 +155,9 @@ class _PathSum:
 def certify(circuit, target: dict[int, int]) -> ChannelVerdict | None:
     """The exact verdict of a valid ``circuit`` proved to be ω^target up to an input-independent
     phase on every branch (``target`` maps monomials over the data qubits, bit i the i-th
-    lowest, to exponents mod 8): each outcome string's report, or past MAX_REPORTS strings
-    the one they all share; reports of equal values share the value objects. None where
-    undecided."""
+    lowest, to exponents mod 8): each outcome string's report, equal values sharing their
+    objects; past MAX_REPORTS strings, one report of m zero outcomes for all 2^m, with p = 2^-m
+    (0.0 past 1074 measurements: state it by the exponent -m). None where undecided."""
     data = {q: 1 << i for i, q in enumerate(sorted(circuit.data_qubits))}  # x_i on wire q
     inputs = (1 << len(data)) - 1
     s = _PathSum([{data[q]} if q in data else set() for q in range(circuit.qubit_count)], len(data))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 import urllib.parse
 
@@ -276,8 +277,8 @@ def test_a_proof_lists_up_to_max_reports_and_summarizes_above(tmp_path, capsys):
             assert branches[-1] == {"outcomes": "1" * 12, "probability": 2.0 ** -12,
                                     "phase": [1.0, 0.0], "max_deviation": 0.0}
         else:
-            assert branches == {"count": 8192, "probability": 2.0 ** -13, "phase": [1.0, 0.0]}
-            assert lines[0] == ("outcomes=each of 8192 p=0.000122 phase=+1.000000+0.000000j "
+            assert branches == {"log2_probability": -13, "phase": [1.0, 0.0]}
+            assert lines[0] == ("outcomes=each of 2^13 p=2^-13 phase=+1.000000+0.000000j "
                                 "max_deviation=0.000e+00")
 
 
@@ -304,8 +305,7 @@ def test_verify_proves_a_64_control_ladder_in_under_a_second(tmp_path, capsys, m
     assert time.perf_counter() - start < 1
     assert code == 0
     m = 63 if method is Method.BASELINE else 62
-    assert json.loads(stdout)["branches"] == {"count": 2 ** m, "probability": 2.0 ** -m,
-                                              "phase": [1.0, 0.0]}
+    assert json.loads(stdout)["branches"] == {"log2_probability": -m, "phase": [1.0, 0.0]}
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -318,21 +318,26 @@ def test_verify_proves_a_2048_control_ladder_in_under_two_seconds(tmp_path, caps
     assert time.perf_counter() - start < 2
     assert (code, stderr.splitlines()[-1]) == (0, "route=path-sum")
     m = 2047 if method is Method.BASELINE else 2046
-    assert json.loads(stdout)["branches"] == {"count": 2 ** m, "log2_probability": -m, "phase": [1.0, 0.0]}
+    assert json.loads(stdout)["branches"] == {"log2_probability": -m, "phase": [1.0, 0.0]}
 
 
-@pytest.mark.parametrize("n, probability, p", [
-    pytest.param(1075, '"probability": 5e-324', "0.000000", id="cnz1075"),
-    pytest.param(1100, '"log2_probability": -1099', "2^-1099", id="cnz1100")])
-def test_a_summary_below_the_least_float_gives_the_log2_of_its_probability(tmp_path, capsys, n, probability, p):
-    # the baseline ladder measures n - 1 times; 2^-1074 is the least float, 2^-1099 underflows to 0.0
-    path = tmp_path / "c.qct"
-    path.write_text(emit_text(synth_cnz(CnZSpec(n), Method.BASELINE)))
-    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", f"cnz:{n}")
-    assert code == 0
-    count = 2 ** (n - 1)
-    assert stdout.endswith(f'"branches": {{"count": {count}, {probability}, "phase": [1.0, 0.0]}}}}\n')
-    assert stderr.startswith(f"outcomes=each of {count} p={p} phase=+1.000000+0.000000j max_deviation=")
+def test_a_summary_states_its_probability_by_the_exponent_alone(tmp_path, capsys):
+    # the baseline ladder measures n - 1 times: 2^-1074 is the least float, 2^-1099 is no float, and
+    # 2^2199 has 662 decimal digits, past the lowered limit, so writing it would raise ValueError
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in (1075, 1100, 2200):
+            path = tmp_path / f"c{n}.qct"
+            path.write_text(emit_text(synth_cnz(CnZSpec(n), Method.BASELINE)))
+            code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", f"cnz:{n}")
+            assert code == 0, stderr
+            assert json.loads(stdout)["branches"] == {"log2_probability": 1 - n, "phase": [1.0, 0.0]}
+            assert stderr.splitlines() == [
+                f"outcomes=each of 2^{n - 1} p=2^-{n - 1} phase=+1.000000+0.000000j max_deviation=0.000e+00",
+                "ancilla_clean=True probability_total=1.000000000 passed=True", "route=path-sum"]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_proof_shares_a_constant_phase_across_every_outcome_string(tmp_path, capsys):

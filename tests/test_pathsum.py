@@ -4,7 +4,8 @@ Wherever ``pathsum.certify`` proves a pass, ``check_implements`` must pass with
 the same outcome strings, and with each one's probability and phase within
 1e-12. The inputs are every single-point mutant of ``cccz_6t`` and of both
 ladders at n <= 4, a seeded random net of small circuits over the whole
-alphabet, and the paper's circuits, which must all be proved.
+alphabet, and the paper's circuits, which must all be proved. A passing circuit
+that a stuck rule leaves undecided goes to brute force.
 """
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import pytest
 
 from cnzsynth import (
     Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, and_compute, and_uncompute, cccz_6t,
-    check_implements, compose, oracle_cnz, parse_quirk_url, synth_cnz, validate)
+    check_implements, compose, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
+from cnzsynth import pathsum
+from cnzsynth.cli import main
 from cnzsynth.pathsum import certify
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 from test_mutants import single_point_mutants
@@ -125,3 +128,31 @@ def test_a_ladder_is_not_proved_against_the_identity_or_past_a_conditioned_h(met
     assert check_implements(twice, oracle_cnz(4)).passed
     assert certify(twice, cnz_term(4)) is None
 
+
+# With o the outcome of b0, wire 3 holds o ⊕ o·y and wire 2 y ⊕ o ⊕ o·y. H on each takes y off every
+# wire and leaves it the terms 4y·(o·y2 ⊕ y3 ⊕ o·y3), in which neither new path variable is linear,
+# so the HH rule is stuck. Both ancillas are then measured out, and every branch is CZ on the data.
+HH_STUCK = ("qubits 4\nbits 3\ndata 0 1\nh 3\nm 3 -> b0\nh 2\ncx 2 3 if b0==1\ncx 3 2\nh 3\nh 2\n"
+            "m 3 -> b1\nm 2 -> b2\ncz 0 1\n")
+
+
+def test_a_stuck_hh_rule_leaves_a_passing_circuit_to_brute_force(tmp_path, capsys, monkeypatch):
+    stuck, sum_out = [], pathsum._PathSum.sum_out
+
+    def spy(self, y):
+        terms = {m: c for m, c in self.phase.items() if m & y}
+        done = sum_out(self, y)
+        if not done and set(terms.values()) == {4}:  # 4y·B, but B holds no linear path variable
+            stuck.append(terms)
+        return done
+    monkeypatch.setattr(pathsum._PathSum, "sum_out", spy)
+    circuit = parse_text(HH_STUCK)
+    assert certify(circuit, cnz_term(1)) is None
+    assert stuck
+    verdict = check_implements(circuit, oracle_cnz(1))
+    assert (verdict.passed, verdict.ancilla_clean) == (True, True)
+    assert abs(verdict.probability_total - 1) <= 1e-12
+    path = tmp_path / "c.qct"
+    path.write_text(HH_STUCK)
+    assert main(["verify", "--in", str(path), "--against", "cnz:1"]) == 0
+    assert "route=" not in capsys.readouterr().err
