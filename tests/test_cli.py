@@ -321,23 +321,24 @@ def test_verify_proves_a_2048_control_ladder_in_under_two_seconds(tmp_path, caps
     assert json.loads(stdout)["branches"] == {"log2_probability": -m, "phase": [1.0, 0.0]}
 
 
-def test_a_summary_states_its_probability_by_the_exponent_alone(tmp_path, capsys):
+@pytest.mark.parametrize("n", [
+    pytest.param(1075, id="cnz1075"), pytest.param(1100, id="cnz1100"), pytest.param(2200, id="cnz2200")])
+def test_a_summary_below_the_least_float_gives_the_log2_of_its_probability(tmp_path, capsys, n):
     # the baseline ladder measures n - 1 times: 2^-1074 is the least float, 2^-1099 is no float, and
     # 2^2199 has 662 decimal digits, past the lowered limit, so writing it would raise ValueError
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        for n in (1075, 1100, 2200):
-            path = tmp_path / f"c{n}.qct"
-            path.write_text(emit_text(synth_cnz(CnZSpec(n), Method.BASELINE)))
-            code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", f"cnz:{n}")
-            assert code == 0, stderr
-            assert json.loads(stdout)["branches"] == {"log2_probability": 1 - n, "phase": [1.0, 0.0]}
-            assert stderr.splitlines() == [
-                f"outcomes=each of 2^{n - 1} p=2^-{n - 1} phase=+1.000000+0.000000j max_deviation=0.000e+00",
-                "ancilla_clean=True probability_total=1.000000000 passed=True", "route=path-sum"]
+        path = tmp_path / "c.qct"
+        path.write_text(emit_text(synth_cnz(CnZSpec(n), Method.BASELINE)))
+        code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", f"cnz:{n}")
     finally:
         sys.set_int_max_str_digits(limit)
+    assert code == 0, stderr
+    assert json.loads(stdout)["branches"] == {"log2_probability": 1 - n, "phase": [1.0, 0.0]}
+    assert stderr.splitlines() == [
+        f"outcomes=each of 2^{n - 1} p=2^-{n - 1} phase=+1.000000+0.000000j max_deviation=0.000e+00",
+        "ancilla_clean=True probability_total=1.000000000 passed=True", "route=path-sum"]
 
 
 def test_a_proof_shares_a_constant_phase_across_every_outcome_string(tmp_path, capsys):
