@@ -4,8 +4,9 @@ Synthesizes C^nZ circuits built from 4-T temporary ANDs, measurement-based
 uncomputation, and a 6-T feedback CCCZ core, and machine-checks them by
 exhaustive channel comparison against brute-force oracles.
 
-Importing the package loads circuit, simulator, synthesis and verify; a
-codec or count name imports its module on first use.
+Importing the package loads circuit, synthesis and verify, and no numpy; a
+codec, count or branch-engine name imports its module on first use (the
+branch engine, simulator, through ``verify.engine``, and numpy with it).
 """
 import importlib
 
@@ -21,12 +22,6 @@ from .circuit import (
     remap_qubits,
     validate,
 )
-from .simulator import (
-    BranchRecord,
-    SimulationError,
-    run_branches,
-    unitary_of,
-)
 from .synthesis import CnZSpec, Method, and_compute, and_uncompute, cccz_6t, synth_cnz
 from .verify import (
     BranchReport,
@@ -34,7 +29,7 @@ from .verify import (
     DEFAULT_TOLERANCE,
     check_implements,
     check_phase_identity,
-    oracle_cnz,
+    engine as _engine,
 )
 
 __all__ = [
@@ -81,6 +76,8 @@ _LAZY = {
     **dict.fromkeys(("CodecError", "QUIRK_URL_PREFIX", "emit_text", "export_quirk_url",
                      "parse_quirk_url", "parse_text"), "codec"),
     **dict.fromkeys(("ResourceCount", "count"), "resources"),
+    **dict.fromkeys(("BranchRecord", "SimulationError", "oracle_cnz", "run_branches",
+                     "unitary_of"), "simulator"),
 }
 
 
@@ -89,6 +86,8 @@ def __getattr__(name):
         submodule = _LAZY[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if submodule == "simulator":  # this copy's engine, even when first used after a re-import
+        return getattr(_engine(), name)
     # This package's own submodule first: after a re-import, import_module
     # would return the new copy, whose classes are not this copy's.
     module = globals().get(submodule) or importlib.import_module(f".{submodule}", __name__)

@@ -16,7 +16,7 @@ from .circuit import Circuit, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import count
 from .synthesis import CnZSpec, Method, cccz_6t, synth_cnz
-from .verify import check_implements, oracle_cnz
+from .verify import check_implements, engine
 
 
 def _load_circuit(source: str) -> Circuit:
@@ -85,7 +85,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
         circuit = _conjugate_target_with_h(circuit)
     proof = _path_sum().certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
-    verdict = proof or check_implements(circuit, oracle_cnz(n))
+    verdict = proof or check_implements(circuit, engine().oracle_cnz(n))
     m = proof and len(proof.branch_reports[0].outcomes)
     if proof and 1 << m > _path_sum().MAX_REPORTS:  # one summary of 2^m equiprobable outcome strings
         r = proof.branch_reports[0]

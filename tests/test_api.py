@@ -46,23 +46,26 @@ def test_import_loads_the_verification_core_and_the_rest_on_first_use():
         def loaded():
             return sorted(name for name in sys.modules if name.startswith("cnzsynth"))
 
-        print(loaded())
+        print(loaded(), "numpy" in sys.modules)
         cnzsynth.parse_text
         print(loaded())
         cnzsynth.count
         print(loaded())
+        cnzsynth.run_branches
+        print(loaded(), "numpy" in sys.modules)
         try:
             cnzsynth.no_such_name
         except AttributeError as exc:
             print(exc)
     """)
-    core = ["cnzsynth", "cnzsynth.circuit", "cnzsynth.simulator", "cnzsynth.synthesis",
-            "cnzsynth.verify"]
+    core = ["cnzsynth", "cnzsynth.circuit", "cnzsynth.synthesis", "cnzsynth.verify"]
     with_codec = sorted(core + ["cnzsynth.codec"])
+    with_count = sorted(with_codec + ["cnzsynth.resources"])
     assert out.splitlines() == [
-        repr(core),
+        f"{core!r} False",
         repr(with_codec),
-        repr(sorted(with_codec + ["cnzsynth.resources"])),
+        repr(with_count),
+        f"{sorted(with_count + ['cnzsynth.simulator'])!r} True",
         "module 'cnzsynth' has no attribute 'no_such_name'",
     ]
 
@@ -82,31 +85,50 @@ def test_star_import_and_dir_list_every_public_name():
 
 def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
     # the benchmark's set-up: import, drop every cnzsynth module, import again; its
-    # operations keep the first cli, whose first verify loaded the proof module for good
-    path = tmp_path / "cccz.qct"
+    # operations keep the first cli, whose first verify loaded the proof module for good,
+    # and the first package's engine, even when its first use comes after the re-import
+    path, bad = tmp_path / "cccz.qct", tmp_path / "bad.qct"
     out = run_fresh(f"""
         import contextlib
         import importlib
         import io
         import sys
+        import numpy as np
         first = importlib.import_module("cnzsynth")
         cli = importlib.import_module("cnzsynth.cli")
         print("cnzsynth.pathsum" not in sys.modules)
         with open({str(path)!r}, "w") as f:
             f.write(first.emit_text(first.cccz_6t()))
+        # the n = 4 ladder with its first tdg deleted: the proof is undecided, brute force fails it
+        lines = first.emit_text(first.synth_cnz(first.CnZSpec(4), first.Method.BASELINE)).splitlines(True)
+        del lines[next(i for i, line in enumerate(lines) if line.startswith("tdg "))]
+        with open({str(bad)!r}, "w") as f:
+            f.write("".join(lines))
 
-        def verify():
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                return cli.main(["verify", "--in", {str(path)!r}, "--against", "cccz"])
+        def verify(cli, source, against):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return cli.main(["verify", "--in", source, "--against", against]), out.getvalue(), err.getvalue()
 
-        print(verify() == 0, "cnzsynth.pathsum" in sys.modules)
+        print(verify(cli, {str(path)!r}, "cccz")[0] == 0, "cnzsynth.pathsum" in sys.modules,
+              "cnzsynth.simulator" not in sys.modules)
         for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
             del sys.modules[name]
         second = importlib.import_module("cnzsynth")
-        importlib.import_module("cnzsynth.cli")
+        second_cli = importlib.import_module("cnzsynth.cli")
         back = first.parse_text(first.emit_text(first.cccz_6t()))
         print(second is not first, second.Circuit is not first.Circuit,
-              type(back) is first.Circuit, back == first.cccz_6t(), verify() == 0,
+              type(back) is first.Circuit, back == first.cccz_6t(), verify(cli, {str(path)!r}, "cccz")[0] == 0,
               "cnzsynth.pathsum" not in sys.modules)
+        # the first package's first brute-force checks: its own engine, not the second package's
+        target = np.diag([1.0] * 15 + [-1.0])
+        verdict = first.check_implements(first.cccz_6t(), target)
+        failed = verify(cli, {str(bad)!r}, "cnz:4")
+        print(type(verdict) is first.ChannelVerdict, verdict.passed, failed[0] == 1,
+              "route=" not in failed[2], "cnzsynth.simulator" not in sys.modules)
+        # the same checks in the second package, which loads an engine of its own
+        print(repr(verdict) == repr(second.check_implements(second.cccz_6t(), target)),
+              failed == verify(second_cli, {str(bad)!r}, "cnz:4"),
+              first.verify.engine() is not second.verify.engine() is sys.modules["cnzsynth.simulator"])
     """)
-    assert out.split() == ["True"] * 9
+    assert out.split() == ["True"] * 18

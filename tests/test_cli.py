@@ -12,9 +12,10 @@ import pytest
 from cnzsynth import (
     DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t,
     check_implements, count, emit_text, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
-from cnzsynth import cli, pathsum
+from cnzsynth import cli, pathsum, simulator
 from cnzsynth.cli import main
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
+from test_api import run_fresh
 from test_mutants import single_point_mutants
 
 
@@ -199,7 +200,7 @@ def test_verify_too_wide_for_a_dense_target_exits_2(tmp_path, capsys, monkeypatc
     # what numpy raises when it cannot hold the 2^30 x 2^30 target; nothing is allocated
     def refuse(n):
         raise MemoryError(f"Unable to allocate the {2 ** (n + 1)}-square target")
-    monkeypatch.setattr(cli, "oracle_cnz", refuse)
+    monkeypatch.setattr(simulator, "oracle_cnz", refuse)  # the engine's, which the fallback reads
     path = tmp_path / "wide.qct"
     path.write_text(emit_text(Circuit(30, 0, (), frozenset(range(30)))))
     code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--against", "cnz:29")
@@ -246,7 +247,7 @@ def test_verify_tolerance_defaults_to_the_library_default(tmp_path, capsys, monk
 def test_a_proved_ladder_never_reaches_brute_force(tmp_path, capsys, monkeypatch, method):
     def refuse(*args):
         raise AssertionError("brute force was called")
-    monkeypatch.setattr(cli, "oracle_cnz", refuse)
+    monkeypatch.setattr(simulator, "oracle_cnz", refuse)
     monkeypatch.setattr(cli, "check_implements", refuse)
     path = tmp_path / "c.qct"
     path.write_text(emit_text(synth_cnz(CnZSpec(5), method)))
@@ -680,3 +681,62 @@ def test_repeated_calls_in_one_process_are_identical(tmp_path, capsys):
     assert [code for code, _, _ in first] == [0, 2, 1, 0, 0]
     assert "unrecognized arguments: --bogus" in first[1][2]
     assert once() == first
+
+
+def test_one_shot_commands_run_without_numpy(tmp_path, capsys):
+    # synth, count, export, table and a proved verify never load the brute-force engine,
+    # so a process in which numpy cannot be imported prints what this one prints
+    circuits = [("cccz.qct", ["--gate", "cccz"], "cccz"),
+                ("b6.qct", ["--gate", "cnz", "-n", "6", "--method", "baseline"], "cnz:6"),
+                ("o6.qct", ["--gate", "cnz", "-n", "6", "--method", "optimized"], "cnz:6"),
+                ("x4.qct", ["--gate", "cnz", "-n", "4", "--x-target"], "cnx:4")]
+
+    def commands(folder: str) -> list[list[str]]:
+        out = [["table", "--n-max", "12"]]
+        for name, flags, against in circuits:
+            source = f"{folder}/{name}"
+            out += [["synth", *flags, "--out", source], ["count", "--in", source],
+                    ["export", "--in", source, "--format", "quirk"],
+                    ["verify", "--in", source, "--against", against]]
+        url = REFERENCE_QUIRK_CCCZ_URL
+        return out + [["count", "--in", url], ["export", "--in", url, "--format", "quirk"],
+                      ["verify", "--in", url, "--against", "cccz"]]
+
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "normal").mkdir()
+    blocked, loaded = json.loads(run_fresh(f"""
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None  # any import of numpy raises ImportError
+        from cnzsynth.cli import main
+        results = []
+        for argv in {commands(str(tmp_path / "blocked"))!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                results.append([main(argv), out.getvalue(), err.getvalue()])
+        print(json.dumps([results, sorted(name for name in sys.modules if name.startswith("cnzsynth"))]))
+    """))
+    normal = [list(run(capsys, *argv)) for argv in commands(str(tmp_path / "normal"))]
+    assert blocked == normal
+    assert [code for code, _, _ in normal] == [0] * len(normal)
+    assert sum(err.endswith("route=path-sum\n") for _, _, err in normal) == len(circuits) + 1
+    assert "cnzsynth.simulator" not in loaded
+    for name, _, _ in circuits:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+
+def test_an_undecided_verify_loads_the_engine_and_fails(tmp_path):
+    # the n = 4 baseline ladder with its first tdg deleted: the proof is undecided and
+    # the brute-force engine, imported for it alone, rejects the channel
+    text = emit_text(synth_cnz(CnZSpec(4), Method.BASELINE)).splitlines(True)
+    del text[next(i for i, line in enumerate(text) if line.startswith("tdg "))]
+    path = tmp_path / "bad.qct"
+    path.write_text("".join(text))
+    out = run_fresh(f"""
+        import contextlib, io, sys
+        from cnzsynth.cli import main
+        before = "cnzsynth.simulator" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["verify", "--in", {str(path)!r}, "--against", "cnz:4"])
+        print(before, code, "route=" in err.getvalue(), "cnzsynth.simulator" in sys.modules)
+    """)
+    assert out.split() == ["False", "1", "False", "True"]

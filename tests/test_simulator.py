@@ -29,7 +29,7 @@ from cnzsynth import (
     synth_cnz,
     unitary_of,
 )
-from cnzsynth import simulator, verify
+from cnzsynth import simulator
 from cnzsynth.simulator import histories, require_key_room
 
 UNITARY_GATES = [g for g in Gate if g.is_unitary]
@@ -328,10 +328,10 @@ class CountingNumpy:
 
 
 def count_numpy_calls(monkeypatch, *names: str) -> CountingNumpy:
-    """Count the simulator's and the verifier's calls to the named numpy functions."""
+    """Count the branch engine's calls to the named numpy functions: the simulator
+    holds the only numpy of the verify path."""
     counting = CountingNumpy(*names)
     monkeypatch.setattr(simulator, "np", counting)
-    monkeypatch.setattr(verify, "np", counting)
     return counting
 
 
