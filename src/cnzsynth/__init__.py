@@ -5,11 +5,9 @@ uncomputation, and a 6-T feedback CCCZ core, and machine-checks them by
 exhaustive channel comparison against brute-force oracles.
 
 Importing the package loads circuit, synthesis and verify, and no numpy; a
-codec, count or branch-engine name imports its module on first use (the
-branch engine, simulator, through ``verify.engine``, and numpy with it).
+codec, count or branch-engine name imports its module on first use through
+``verify.load`` (the branch engine, simulator, with numpy).
 """
-import importlib
-
 from .circuit import (
     Circuit,
     CircuitBuilder,
@@ -29,7 +27,7 @@ from .verify import (
     DEFAULT_TOLERANCE,
     check_implements,
     check_phase_identity,
-    engine as _engine,
+    load as _load,
 )
 
 __all__ = [
@@ -82,16 +80,9 @@ _LAZY = {
 
 
 def __getattr__(name):
-    try:
-        submodule = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    if submodule == "simulator":  # this copy's engine, even when first used after a re-import
-        return getattr(_engine(), name)
-    # This package's own submodule first: after a re-import, import_module
-    # would return the new copy, whose classes are not this copy's.
-    module = globals().get(submodule) or importlib.import_module(f".{submodule}", __name__)
-    return getattr(module, name)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_load(_LAZY[name]), name)
 
 
 def __dir__():

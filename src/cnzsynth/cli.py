@@ -16,7 +16,7 @@ from .circuit import Circuit, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import count
 from .synthesis import CnZSpec, Method, cccz_6t, synth_cnz
-from .verify import check_implements, engine
+from .verify import check_implements, load
 
 
 def _load_circuit(source: str) -> Circuit:
@@ -69,12 +69,6 @@ def _parse_target(label: str) -> tuple[int, bool]:
         f"unknown verification target {label!r} (expected cccz, cccx, cnz:N or cnx:N)")
 
 
-@functools.cache  # the proof module: imported by the first verify, kept across package re-imports
-def _path_sum():
-    from . import pathsum
-    return pathsum
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.input)
     n, x_target = _parse_target(args.against)
@@ -84,10 +78,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{len(circuit.data_qubits)} data qubits")
     if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
         circuit = _conjugate_target_with_h(circuit)
-    proof = _path_sum().certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
-    verdict = proof or check_implements(circuit, engine().oracle_cnz(n))
+    pathsum = load("pathsum")
+    proof = pathsum.certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
+    verdict = proof or check_implements(circuit, load("simulator").oracle_cnz(n))
     m = proof and len(proof.branch_reports[0].outcomes)
-    if proof and 1 << m > _path_sum().MAX_REPORTS:  # one summary of 2^m equiprobable outcome strings
+    if proof and 1 << m > pathsum.MAX_REPORTS:  # one summary of 2^m equiprobable outcome strings
         r = proof.branch_reports[0]
         sys.stderr.write(f"outcomes=each of 2^{m} p=2^-{m} phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
                          f"max_deviation={r.max_deviation:.3e}\n")

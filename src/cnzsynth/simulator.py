@@ -16,7 +16,8 @@ MAX_KEY_BITS once, before the pass; a wider circuit raises SimulationError.
 ``histories`` is the only reader of this key layout:
 ``run_branches``, ``unitary_of`` and ``channel_verdict``, the brute-force
 verdict of ``verify.check_implements``, all read its table of
-(history, input, basis, amplitude) entries.
+(history, input, basis, amplitude) entries. ``verify.load`` imports this
+module, numpy with it, on first use.
 
 The pass knows each register wire as classical (a function of the label bits,
 so no key's partner on it is present) or free, and a split pairs keys only on
@@ -340,10 +341,11 @@ def channel_verdict(circuit: Circuit, target: np.ndarray, tolerance: float) -> C
         missing = np.setdiff1d(support, position[run][wanted[run] != 0], assume_unique=True)
         deviation[h] = max(deviation[h], abs(scalar[h]) * np.abs(target.flat[missing]).max())
 
-    # visible outcomes -> [sum of |c|^2, first phase, max deviation] over its histories, depth-first
+    # visible outcomes -> [sum of |c|^2, first phase, max deviation] over its histories, depth-first;
+    # a |c| within the tolerance is a rounding residue with no phase to fit: phase 1
     groups: dict[tuple[int, ...], list] = {}
     for visible, c, dev in zip(outcomes, scalar.tolist(), deviation.tolist()):
-        group = groups.setdefault(visible, [0.0, c / abs(c) if c else complex(1), dev])
+        group = groups.setdefault(visible, [0.0, c / abs(c) if abs(c) > tolerance else complex(1), dev])
         group[0] += abs(c) ** 2
         group[2] = max(group[2], dev)
     reports = tuple(BranchReport(visible, *group) for visible, group in sorted(groups.items()))

@@ -7,15 +7,16 @@ per-outcome phase freedom is exactly what "deterministically implements"
 means here: the phase is unobservable per branch, but any input dependence
 would be an error and is caught by assembling every outcome's full linear
 map over all basis inputs. The brute-force check runs in the branch engine,
-``simulator``, which ``engine`` imports on first use, numpy with it.
+``simulator``, imported with numpy on first use by ``load``, as every lazy module is.
 """
 from __future__ import annotations
 
-import functools
+import importlib
 import math
 import sys
 from dataclasses import dataclass
 from itertools import product
+from types import ModuleType
 from typing import TYPE_CHECKING
 
 from .circuit import Circuit
@@ -64,20 +65,24 @@ def check_phase_identity() -> bool:
     return True
 
 
-#: This copy's package and the modules its engine imports, as loaded with this one.
+#: This copy's package and the modules its lazy ones import, as loaded with this one.
 _OWN = {name: sys.modules[name] for name in (__package__, f"{__package__}.circuit", __name__)}
+#: The submodules ``load`` imports on first use.
+_LAZY_MODULES = tuple(f"{__package__}.{name}" for name in ("codec", "resources", "pathsum", "simulator"))
 
 
-@functools.cache  # imported once and kept across package re-imports, as cli._path_sum is
-def engine():
-    """This copy's brute-force engine, ``simulator``, imported on first use. After a
-    re-import it is imported among this copy's modules, the new copy's set aside."""
-    aside = () if sys.modules.get(__package__) is _OWN[__package__] else (*_OWN, f"{__package__}.simulator")
+def load(name: str) -> ModuleType:
+    """This copy's submodule ``name`` (codec, resources, pathsum or simulator), imported
+    on first use. Importing binds it on this copy's package, which keeps it from then on.
+    After a re-import it is imported among this copy's modules, the new copy's set aside."""
+    package = _OWN[__package__]
+    if name in vars(package):
+        return vars(package)[name]
+    aside = () if sys.modules.get(__package__) is package else (*_OWN, *_LAZY_MODULES)
     theirs = {key: sys.modules.pop(key) for key in aside if key in sys.modules}
     sys.modules.update({key: _OWN[key] for key in aside if key in _OWN})
     try:
-        from . import simulator
-        return simulator
+        return importlib.import_module(f"{__package__}.{name}")
     finally:
         for key in aside:
             sys.modules.pop(key, None)
@@ -95,7 +100,8 @@ def check_implements(
     or c_h * target, every branch leaves the ancillas clean (|0>, or the
     outcome on a measured-out wire), and the |c_h|^2 sum to 1. Each visible
     outcome string gets one report: its histories' summed probability, worst
-    deviation and the depth-first first one's phase. An invalid circuit, or one
+    deviation and the depth-first first one's phase, which is 1 where that
+    history's |c_h| is at most ``tolerance``. An invalid circuit, or one
     whose register, data qubits and event labels exceed the MAX_KEY_BITS key,
     raises ``SimulationError`` before the target is read. A target with a NaN
     or infinite entry, or whose entries are all within ``tolerance`` of 0,
@@ -104,5 +110,5 @@ def check_implements(
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
             f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
-    return engine().channel_verdict(circuit, target, tolerance)
+    return load("simulator").channel_verdict(circuit, target, tolerance)
 

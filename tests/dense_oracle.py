@@ -234,7 +234,8 @@ def check_implements(circuit: Circuit, target: np.ndarray, tolerance: float = 1e
     input) branch keeps all but tolerance^2 of its weight inside the expected
     ancilla pattern (|0>, or the recorded outcome on a measured-out wire), the
     |c_h|^2 sum to 1, and each visible outcome string reports the sum of its
-    histories' probabilities, their worst deviation and the first one's phase.
+    histories' probabilities, their worst deviation and the first one's phase
+    (1 where that history's |c_h| is at most ``tolerance``).
     """
     n = circuit.qubit_count
     data = sorted(circuit.data_qubits)
@@ -278,7 +279,7 @@ def check_implements(circuit: Circuit, target: np.ndarray, tolerance: float = 1e
             evidence = (0.0, complex(1), largest)
         else:
             deviation = float(np.abs(k - scalar * target).max())
-            phase = scalar / abs(scalar) if scalar else complex(1)
+            phase = scalar / abs(scalar) if abs(scalar) > tolerance else complex(1)
             evidence = (abs(scalar) ** 2, phase, deviation)
         groups.setdefault(key[0], []).append(evidence)
     reports = tuple(

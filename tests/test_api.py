@@ -129,6 +129,68 @@ def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
         # the same checks in the second package, which loads an engine of its own
         print(repr(verdict) == repr(second.check_implements(second.cccz_6t(), target)),
               failed == verify(second_cli, {str(bad)!r}, "cnz:4"),
-              first.verify.engine() is not second.verify.engine() is sys.modules["cnzsynth.simulator"])
+              first.verify.load("simulator") is not second.verify.load("simulator") is sys.modules["cnzsynth.simulator"])
     """)
     assert out.split() == ["True"] * 18
+
+
+def test_a_reimport_leaves_the_first_package_alone_on_its_own_codec_and_count():
+    # no CLI: the first package's codec and count names are first used after the
+    # re-import, when the second package's codec and count modules are loaded
+    out = run_fresh("""
+        import importlib
+        import sys
+        first = importlib.import_module("cnzsynth")
+        for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
+            del sys.modules[name]
+        second = importlib.import_module("cnzsynth")
+        text, url = second.emit_text(second.cccz_6t()), second.export_quirk_url(second.cccz_6t())
+        second.count(second.cccz_6t())
+        back, counted = first.parse_text(text), first.count(first.cccz_6t())
+        print(type(back) is first.Circuit, back == first.cccz_6t(),
+              type(first.parse_quirk_url(url)) is first.Circuit, first.export_quirk_url(back) == url,
+              first.emit_text(back) == text)
+        print(type(counted) is first.ResourceCount, first.ResourceCount is not second.ResourceCount,
+              counted.t == first.count(back).t == 6, first.check_implements(back, first.oracle_cnz(3)).passed)
+        try:
+            first.parse_text("qubits 1\\nbogus 0\\n")
+        except first.CodecError:
+            print(first.CodecError is not second.CodecError)
+        print(first.codec is not sys.modules["cnzsynth.codec"] is second.codec,
+              first.resources is not sys.modules["cnzsynth.resources"] is second.resources)
+    """)
+    assert out.split() == ["True"] * 12
+
+
+def test_a_first_verify_after_a_reimport_loads_the_proof_among_its_own_modules(tmp_path):
+    # the first CLI's first verify comes after the second CLI's, whose proof module is loaded
+    path = tmp_path / "cccz.qct"
+    out = run_fresh(f"""
+        import contextlib
+        import importlib
+        import io
+        import sys
+        first = importlib.import_module("cnzsynth")
+        cli = importlib.import_module("cnzsynth.cli")
+        for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
+            del sys.modules[name]
+        second = importlib.import_module("cnzsynth")
+        second_cli = importlib.import_module("cnzsynth.cli")
+        with open({str(path)!r}, "w") as f:
+            f.write(second.emit_text(second.cccz_6t()))
+
+        def verify(cli):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["verify", "--in", {str(path)!r}, "--against", "cccz"])
+            return code, out.getvalue(), err.getvalue()
+
+        theirs = verify(second_cli)
+        print(theirs[0] == 0, theirs[2].endswith("route=path-sum\\n"), "pathsum" not in vars(first))
+        ours = verify(cli)
+        proof = vars(first).get("pathsum")
+        print(ours == theirs, proof is not None and proof.ChannelVerdict is first.ChannelVerdict,
+              proof is not sys.modules["cnzsynth.pathsum"] is second.pathsum,
+              second.pathsum.ChannelVerdict is second.ChannelVerdict is not first.ChannelVerdict)
+    """)
+    assert out.split() == ["True"] * 7

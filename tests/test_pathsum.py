@@ -89,10 +89,17 @@ def test_every_proved_single_point_mutant_passes_brute_force(circuit, n, valid, 
 
 
 def random_circuit(rng: random.Random) -> Circuit:
-    """3 or 4 qubits, data 0 and 1, up to 10 ops from the whole alphabet; a
-    non-measurement op is conditioned on an earlier bit a third of the time."""
+    """3 or 4 qubits, data 0 and 1, up to 10 steps over the whole alphabet; a
+    non-measurement op is conditioned on an earlier bit a third of the time. Once a
+    bit is measured, a quarter of the steps are the motif that can leave the HH rule
+    stuck: a conditioned CX onto a wire, a CX back, then H on both wires."""
     qubits, ops, bits = rng.choice((3, 4)), [], 0
     for _ in range(rng.randint(0, 10)):
+        if bits and rng.random() < 1 / 4:
+            a, b = rng.sample(range(qubits), 2)
+            ops += [Op(Gate.CX, (a, b), None, (rng.randrange(bits), 1)), Op(Gate.CX, (b, a)),
+                    Op(Gate.H, (b,)), Op(Gate.H, (a,))]
+            continue
         gate = rng.choice(list(Gate))
         wires = tuple(rng.sample(range(qubits), gate.arity))
         if gate is Gate.MEASURE:
@@ -104,18 +111,37 @@ def random_circuit(rng: random.Random) -> Circuit:
     return Circuit(qubits, bits, tuple(ops), frozenset({0, 1}))
 
 
+def stuck_hh_calls(monkeypatch) -> list:
+    """Spy on ``_PathSum.sum_out``; the returned list gets the terms 4y·B of each call
+    that the HH rule leaves stuck, as B holds no linear path variable."""
+    stuck, sum_out = [], pathsum._PathSum.sum_out
+
+    def spy(self, y):
+        terms = {m: c for m, c in self.phase.items() if m & y}
+        done = sum_out(self, y)
+        if not done and set(terms.values()) == {4}:  # the odd-coefficient rule's terms are not all 4
+            stuck.append(terms)
+        return done
+    monkeypatch.setattr(pathsum._PathSum, "sum_out", spy)
+    return stuck
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-def test_every_proved_random_circuit_passes_brute_force(seed):
+def test_every_proved_random_circuit_passes_brute_force(seed, monkeypatch):
     # each against CZ and against the identity on its data qubits
-    rng, valid, cz, identity = random.Random(seed), 0, 0, 0
+    calls = stuck_hh_calls(monkeypatch)
+    rng, valid, cz, identity, stuck = random.Random(seed), 0, 0, 0, 0
     for _ in range(15_000):
         circuit = random_circuit(rng)
         if not validate(circuit):
             valid += 1
+            before = len(calls)
             cz += proved(circuit, cnz_term(1), oracle_cnz(1))
             identity += proved(circuit, {}, np.eye(4))
+            stuck += len(calls) > before
     assert valid > 12_000
     assert cz >= 30 and identity >= 1_500  # about 0.4 % and 16 % of the valid draws
+    assert stuck >= 5  # valid draws on which the HH rule is stuck: 7 and 17
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -137,15 +163,7 @@ HH_STUCK = ("qubits 4\nbits 3\ndata 0 1\nh 3\nm 3 -> b0\nh 2\ncx 2 3 if b0==1\nc
 
 
 def test_a_stuck_hh_rule_leaves_a_passing_circuit_to_brute_force(tmp_path, capsys, monkeypatch):
-    stuck, sum_out = [], pathsum._PathSum.sum_out
-
-    def spy(self, y):
-        terms = {m: c for m, c in self.phase.items() if m & y}
-        done = sum_out(self, y)
-        if not done and set(terms.values()) == {4}:  # 4y·B, but B holds no linear path variable
-            stuck.append(terms)
-        return done
-    monkeypatch.setattr(pathsum._PathSum, "sum_out", spy)
+    stuck = stuck_hh_calls(monkeypatch)
     circuit = parse_text(HH_STUCK)
     assert certify(circuit, cnz_term(1)) is None
     assert stuck

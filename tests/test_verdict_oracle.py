@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import dense_oracle
 from cnzsynth import (
@@ -137,6 +137,10 @@ def test_each_verdict_path_matches_dense_reference(monkeypatch, circuit, target,
     assert_same_verdict(circuit, target)
 
 
+# one history's pivot entry is a rounding residue (~4e-17j) that the engine drops and the
+# reference keeps: |c_h| is within the tolerance, so both report phase 1
+@example(circuit=CircuitBuilder(4, (0,)).h(0).x(0).h(1).h(1).x(0).sdg(0).tdg(0).tdg(0)
+         .cx(0, 1).h(0).h(1).reset(0).build())
 @settings(max_examples=200, deadline=None)
 @given(circuit=feedback_circuits())
 def test_verdict_matches_dense_reference_on_random_circuits(circuit):
