@@ -197,6 +197,8 @@ def export_quirk_url(circuit: Circuit) -> str:
             nxt = ops[i + 1] if i + 1 < len(ops) else None
             if nxt is not None and nxt.gate is Gate.RESET and nxt.qubits == (q,) and nxt.condition is None:
                 i += 1  # the reset is implied by the Measure column on re-import
+        elif op.gate is Gate.RESET and op.condition is not None:
+            raise CodecError(f"op {i}: conditioned reset is not representable")
         elif op.gate is Gate.RESET:
             raise CodecError(
                 f"op {i}: reset not immediately following a measurement of the "

@@ -7,7 +7,8 @@ per-outcome phase freedom is exactly what "deterministically implements"
 means here: the phase is unobservable per branch, but any input dependence
 would be an error and is caught by assembling every outcome's full linear
 map over all basis inputs. The brute-force check runs in the branch engine,
-``simulator``, imported with numpy on first use by ``load``, as every lazy module is.
+``simulator``, imported with numpy on first use by ``load``, as every lazy module is;
+a first use after the package was imported again raises ``ImportError``.
 """
 from __future__ import annotations
 
@@ -65,28 +66,22 @@ def check_phase_identity() -> bool:
     return True
 
 
-#: This copy's package and the modules its lazy ones import, as loaded with this one.
-_OWN = {name: sys.modules[name] for name in (__package__, f"{__package__}.circuit", __name__)}
-#: The submodules ``load`` imports on first use.
-_LAZY_MODULES = tuple(f"{__package__}.{name}" for name in ("codec", "resources", "pathsum", "simulator"))
+#: This copy of the package; its ``__dict__`` keeps every submodule ``load`` imports.
+_PACKAGE = sys.modules[__package__]
 
 
 def load(name: str) -> ModuleType:
     """This copy's submodule ``name`` (codec, resources, pathsum or simulator), imported
     on first use. Importing binds it on this copy's package, which keeps it from then on.
-    After a re-import it is imported among this copy's modules, the new copy's set aside."""
-    package = _OWN[__package__]
-    if name in vars(package):
-        return vars(package)[name]
-    aside = () if sys.modules.get(__package__) is package else (*_OWN, *_LAZY_MODULES)
-    theirs = {key: sys.modules.pop(key) for key in aside if key in sys.modules}
-    sys.modules.update({key: _OWN[key] for key in aside if key in _OWN})
-    try:
-        return importlib.import_module(f"{__package__}.{name}")
-    finally:
-        for key in aside:
-            sys.modules.pop(key, None)
-        sys.modules.update(theirs)
+    A first use after the package was imported again raises ``ImportError``: load what a
+    copy needs before importing the package again."""
+    if name in vars(_PACKAGE):
+        return vars(_PACKAGE)[name]
+    module = f"{__package__}.{name}"
+    if sys.modules.get(__package__) is not _PACKAGE:
+        raise ImportError(f"{module} was first used after {__package__} was imported again; "
+                          "load it before the re-import", name=module)
+    return importlib.import_module(module)
 
 
 def check_implements(

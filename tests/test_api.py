@@ -1,6 +1,11 @@
-"""The package's public names: each one kept has a caller outside the tests."""
+"""The package's public names and how a copy of the package loads its modules.
+
+The public names are what the CLI, the acceptance suite or the benchmark needs,
+with the types their results carry.
+"""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -84,9 +89,9 @@ def test_star_import_and_dir_list_every_public_name():
 
 
 def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
-    # the benchmark's set-up: import, drop every cnzsynth module, import again; its
-    # operations keep the first cli, whose first verify loaded the proof module for good,
-    # and the first package's engine, even when its first use comes after the re-import
+    # the benchmark's set-up: import, use, drop every cnzsynth module, import again. The
+    # first copy loaded each module it uses before the re-import, so its codec, count,
+    # engine and CLI keep working on its own classes, and the second copy loads its own
     path, bad = tmp_path / "cccz.qct", tmp_path / "bad.qct"
     out = run_fresh(f"""
         import contextlib
@@ -96,7 +101,6 @@ def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
         import numpy as np
         first = importlib.import_module("cnzsynth")
         cli = importlib.import_module("cnzsynth.cli")
-        print("cnzsynth.pathsum" not in sys.modules)
         with open({str(path)!r}, "w") as f:
             f.write(first.emit_text(first.cccz_6t()))
         # the n = 4 ladder with its first tdg deleted: the proof is undecided, brute force fails it
@@ -110,87 +114,108 @@ def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 return cli.main(["verify", "--in", source, "--against", against]), out.getvalue(), err.getvalue()
 
-        print(verify(cli, {str(path)!r}, "cccz")[0] == 0, "cnzsynth.pathsum" in sys.modules,
-              "cnzsynth.simulator" not in sys.modules)
+        target = np.diag([1.0] * 15 + [-1.0])
+        proved, failed = verify(cli, {str(path)!r}, "cccz"), verify(cli, {str(bad)!r}, "cnz:4")
+        verdict = first.check_implements(first.cccz_6t(), target)
+        print(proved[0] == 0, proved[2].endswith("route=path-sum\\n"), failed[0] == 1, "route=" not in failed[2],
+              verdict.passed)
         for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
             del sys.modules[name]
         second = importlib.import_module("cnzsynth")
         second_cli = importlib.import_module("cnzsynth.cli")
-        back = first.parse_text(first.emit_text(first.cccz_6t()))
-        print(second is not first, second.Circuit is not first.Circuit,
-              type(back) is first.Circuit, back == first.cccz_6t(), verify(cli, {str(path)!r}, "cccz")[0] == 0,
-              "cnzsynth.pathsum" not in sys.modules)
-        # the first package's first brute-force checks: its own engine, not the second package's
-        target = np.diag([1.0] * 15 + [-1.0])
-        verdict = first.check_implements(first.cccz_6t(), target)
-        failed = verify(cli, {str(bad)!r}, "cnz:4")
-        print(type(verdict) is first.ChannelVerdict, verdict.passed, failed[0] == 1,
-              "route=" not in failed[2], "cnzsynth.simulator" not in sys.modules)
-        # the same checks in the second package, which loads an engine of its own
-        print(repr(verdict) == repr(second.check_implements(second.cccz_6t(), target)),
-              failed == verify(second_cli, {str(bad)!r}, "cnz:4"),
-              first.verify.load("simulator") is not second.verify.load("simulator") is sys.modules["cnzsynth.simulator"])
-    """)
-    assert out.split() == ["True"] * 18
-
-
-def test_a_reimport_leaves_the_first_package_alone_on_its_own_codec_and_count():
-    # no CLI: the first package's codec and count names are first used after the
-    # re-import, when the second package's codec and count modules are loaded
-    out = run_fresh("""
-        import importlib
-        import sys
-        first = importlib.import_module("cnzsynth")
-        for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
-            del sys.modules[name]
-        second = importlib.import_module("cnzsynth")
-        text, url = second.emit_text(second.cccz_6t()), second.export_quirk_url(second.cccz_6t())
-        second.count(second.cccz_6t())
-        back, counted = first.parse_text(text), first.count(first.cccz_6t())
-        print(type(back) is first.Circuit, back == first.cccz_6t(),
-              type(first.parse_quirk_url(url)) is first.Circuit, first.export_quirk_url(back) == url,
-              first.emit_text(back) == text)
-        print(type(counted) is first.ResourceCount, first.ResourceCount is not second.ResourceCount,
-              counted.t == first.count(back).t == 6, first.check_implements(back, first.oracle_cnz(3)).passed)
+        before = dict(sys.modules)
+        text = first.emit_text(first.cccz_6t())
+        back = first.parse_text(text)
+        counted, again = first.count(back), first.check_implements(back, target)
         try:
             first.parse_text("qubits 1\\nbogus 0\\n")
-        except first.CodecError:
-            print(first.CodecError is not second.CodecError)
-        print(first.codec is not sys.modules["cnzsynth.codec"] is second.codec,
-              first.resources is not sys.modules["cnzsynth.resources"] is second.resources)
+        except Exception as exc:
+            refused = type(exc) is first.CodecError
+        print(type(back) is first.Circuit, back == first.cccz_6t(), refused,
+              type(first.parse_quirk_url(first.export_quirk_url(back))) is first.Circuit,
+              type(counted) is first.ResourceCount,
+              counted.t == 6, type(again) is first.ChannelVerdict, repr(again) == repr(verdict),
+              verify(cli, {str(path)!r}, "cccz") == proved, verify(cli, {str(bad)!r}, "cnz:4") == failed,
+              first.pathsum.ChannelVerdict is first.simulator.ChannelVerdict is first.ChannelVerdict,
+              dict(sys.modules) == before)
+        ours = second.parse_text(text)
+        print(second.Circuit is not first.Circuit, type(ours) is second.Circuit,
+              type(second.count(ours)) is second.ResourceCount,
+              repr(second.check_implements(ours, target)) == repr(verdict),
+              verify(second_cli, {str(path)!r}, "cccz") == proved, verify(second_cli, {str(bad)!r}, "cnz:4") == failed,
+              all(vars(second)[m] is sys.modules["cnzsynth." + m] is not vars(first)[m]
+                  for m in ("codec", "resources", "pathsum", "simulator")),
+              second.pathsum.ChannelVerdict is second.simulator.ChannelVerdict is second.ChannelVerdict)
     """)
-    assert out.split() == ["True"] * 12
+    assert out.split() == ["True"] * 25
 
 
-def test_a_first_verify_after_a_reimport_loads_the_proof_among_its_own_modules(tmp_path):
-    # the first CLI's first verify comes after the second CLI's, whose proof module is loaded
+def test_a_first_load_after_a_reimport_raises_and_leaves_the_import_table(tmp_path):
+    # each copy's first use of a lazy module comes after the package was imported again:
+    # the first copy's count (resources) and check_implements (simulator), and the second
+    # copy's CLI's first verify (pathsum). Each raises ImportError naming the module it
+    # would have loaded, and neither the import table nor the old copy changes
     path = tmp_path / "cccz.qct"
     out = run_fresh(f"""
         import contextlib
         import importlib
         import io
+        import json
         import sys
+        import numpy as np
+
+        def reimport():
+            for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
+                del sys.modules[name]
+            return importlib.import_module("cnzsynth")
+
+        def entries():  # the package's; a first cli.main call may import locale for argparse
+            return {{name: module for name, module in sys.modules.items() if name.startswith("cnzsynth")}}
+
+        def refused(package, use):
+            before = entries()
+            try:
+                use()
+            except ImportError as exc:
+                module = exc.name.rpartition(".")[2]
+                return [exc.name, exc.name in str(exc), entries() == before, module not in vars(package)]
+            return "loaded"
+
         first = importlib.import_module("cnzsynth")
+        second = reimport()
         cli = importlib.import_module("cnzsynth.cli")
-        for name in [n for n in sys.modules if n.startswith("cnzsynth")]:
-            del sys.modules[name]
-        second = importlib.import_module("cnzsynth")
-        second_cli = importlib.import_module("cnzsynth.cli")
+        third = reimport()
         with open({str(path)!r}, "w") as f:
-            f.write(second.emit_text(second.cccz_6t()))
+            f.write(third.emit_text(third.cccz_6t()))
 
-        def verify(cli):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["verify", "--in", {str(path)!r}, "--against", "cccz"])
-            return code, out.getvalue(), err.getvalue()
+        def verify():
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return cli.main(["verify", "--in", {str(path)!r}, "--against", "cccz"])
 
-        theirs = verify(second_cli)
-        print(theirs[0] == 0, theirs[2].endswith("route=path-sum\\n"), "pathsum" not in vars(first))
-        ours = verify(cli)
-        proof = vars(first).get("pathsum")
-        print(ours == theirs, proof is not None and proof.ChannelVerdict is first.ChannelVerdict,
-              proof is not sys.modules["cnzsynth.pathsum"] is second.pathsum,
-              second.pathsum.ChannelVerdict is second.ChannelVerdict is not first.ChannelVerdict)
+        print(json.dumps([refused(first, lambda: first.count),
+                          refused(first, lambda: first.check_implements(first.cccz_6t(), np.diag([1.0] * 15 + [-1.0]))),
+                          refused(second, verify)]))
+        print(third.count(third.cccz_6t()).t, third.check_implements(third.cccz_6t(), third.oracle_cnz(3)).passed)
     """)
-    assert out.split() == ["True"] * 7
+    assert out.splitlines() == [
+        json.dumps([[f"cnzsynth.{name}", True, True, True] for name in ("resources", "simulator", "pathsum")]),
+        "6 True",
+    ]
+
+
+def test_no_module_in_src_writes_the_import_table():
+    # sys.modules is read in src/ (the copy's own package), never assigned to, popped from or updated
+    def import_table(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "modules"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+    mutators = {"pop", "popitem", "update", "setdefault", "clear", "__setitem__", "__delitem__"}
+    reads, writes = 0, []
+    for path in sorted(Path(cnzsynth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (import_table(node) and not isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Subscript) and import_table(node.value) and not isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute) and import_table(node.value) and node.attr in mutators):
+                writes.append(f"{path.name}:{node.lineno}")
+            reads += import_table(node)
+    assert reads >= 2 and writes == []

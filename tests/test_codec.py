@@ -236,8 +236,16 @@ def test_export_rejects_stray_reset():
     bld = CircuitBuilder(1, (0,))
     bld.h(0)
     bld.reset(0)
-    with pytest.raises(CodecError, match="reset"):
+    with pytest.raises(CodecError, match=r"^op 1: reset not immediately following a measurement "
+                                         r"of the same wire is not representable$"):
         export_quirk_url(bld.build())
+
+
+def test_export_names_the_condition_of_a_conditioned_reset():
+    # the reset follows its measurement: the condition is what a Quirk column cannot hold
+    circuit = parse_text("qubits 2\nbits 1\ndata 0\nm 1 -> b0\nreset 1 if b0==1\n")
+    with pytest.raises(CodecError, match=r"^op 1: conditioned reset is not representable$"):
+        export_quirk_url(circuit)
 
 
 def test_export_rejects_double_measurement():
