@@ -13,7 +13,6 @@ from .circuit import (
     CircuitBuilder,
     CircuitError,
     Gate,
-    NON_CLIFFORD,
     Op,
     Violation,
     compose,
@@ -24,7 +23,6 @@ from .synthesis import CnZSpec, Method, and_compute, and_uncompute, cccz_6t, syn
 from .verify import (
     BranchReport,
     ChannelVerdict,
-    DEFAULT_TOLERANCE,
     check_implements,
     check_phase_identity,
     load as _load,
@@ -39,12 +37,9 @@ __all__ = [
     "CircuitError",
     "CnZSpec",
     "CodecError",
-    "DEFAULT_TOLERANCE",
     "Gate",
     "Method",
-    "NON_CLIFFORD",
     "Op",
-    "QUIRK_URL_PREFIX",
     "ResourceCount",
     "SimulationError",
     "Violation",
@@ -71,8 +66,8 @@ __version__ = "0.1.0"
 
 #: Public names whose module is imported on first use (PEP 562).
 _LAZY = {
-    **dict.fromkeys(("CodecError", "QUIRK_URL_PREFIX", "emit_text", "export_quirk_url",
-                     "parse_quirk_url", "parse_text"), "codec"),
+    **dict.fromkeys(("CodecError", "emit_text", "export_quirk_url", "parse_quirk_url",
+                     "parse_text"), "codec"),
     **dict.fromkeys(("ResourceCount", "count"), "resources"),
     **dict.fromkeys(("BranchRecord", "SimulationError", "oracle_cnz", "run_branches",
                      "unitary_of"), "simulator"),

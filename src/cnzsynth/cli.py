@@ -7,6 +7,7 @@ byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -39,7 +40,7 @@ def _conjugate_target_with_h(circuit: Circuit) -> Circuit:
 
 
 def _print_count(circuit: Circuit) -> None:
-    print(json.dumps(count(circuit).to_dict()))
+    print(json.dumps(dataclasses.asdict(count(circuit))))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -44,12 +44,12 @@ def _lift(phase: dict[int, int], c: int, poly) -> None:
         terms += [(a | b, 6 * c) for a, b in combinations(mons, 2)]
         if c % 2:
             terms += [(a | b | d, 4) for a, b, d in combinations(mons, 3)]
-    for m, k in terms:  # k is never 0 mod 8, so a sum of 0 had m before
+    for m, k in terms:
         k = (phase.get(m, 0) + k) & 7
         if k:
             phase[m] = k
         else:
-            del phase[m]
+            phase.pop(m, None)
 
 
 def _bits(mask: int):

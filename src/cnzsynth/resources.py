@@ -7,7 +7,7 @@ or not they fire at runtime. Measurements and resets are neither.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, NON_CLIFFORD, require_valid
 
@@ -19,9 +19,6 @@ class ResourceCount:
     measurements: int
     ancillas: int
     conditioned_gates: int
-
-    def to_dict(self) -> dict[str, int]:
-        return asdict(self)
 
 
 def count(circuit: Circuit) -> ResourceCount:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from cnzsynth import (
-    DEFAULT_TOLERANCE, QUIRK_URL_PREFIX, Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t,
-    check_implements, count, emit_text, oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
+    Circuit, CircuitBuilder, CnZSpec, Gate, Method, Op, cccz_6t, check_implements, count, emit_text,
+    oracle_cnz, parse_quirk_url, parse_text, synth_cnz, validate)
 from cnzsynth import cli, pathsum, simulator
 from cnzsynth.cli import main
+from cnzsynth.codec import QUIRK_URL_PREFIX
+from cnzsynth.verify import DEFAULT_TOLERANCE
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 from test_api import run_fresh
 from test_mutants import single_point_mutants

@@ -16,7 +16,6 @@ from cnzsynth import (
     Gate,
     Method,
     Op,
-    QUIRK_URL_PREFIX,
     cccz_6t,
     check_implements,
     emit_text,
@@ -26,6 +25,7 @@ from cnzsynth import (
     parse_text,
     synth_cnz,
 )
+from cnzsynth.codec import QUIRK_URL_PREFIX
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 
 CCCZ_TEXT = """\

@@ -4,7 +4,8 @@ Wherever ``pathsum.certify`` proves a pass, ``check_implements`` must pass with
 the same outcome strings, and with each one's probability and phase within
 1e-12. The inputs are every single-point mutant of ``cccz_6t`` and of both
 ladders at n <= 4, a seeded random net of small circuits over the whole
-alphabet, and the paper's circuits, which must all be proved. A passing circuit
+alphabet, the small-scope nets of the wire-state tests, and the paper's
+circuits, which must all be proved. A passing circuit
 that a stuck rule leaves undecided goes to brute force.
 """
 from __future__ import annotations
@@ -22,6 +23,7 @@ from cnzsynth.cli import main
 from cnzsynth.pathsum import certify
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 from test_mutants import single_point_mutants
+from test_wire_states import small_circuits, small_feedback_circuits
 
 
 def cnz_term(n: int) -> dict[int, int]:
@@ -126,11 +128,18 @@ def stuck_hh_calls(monkeypatch) -> list:
     return stuck
 
 
+def phase_on_data_1(c: int) -> np.ndarray:
+    """ω^(c·x1), a Z-type phase on data qubit 1: Z, S and T for c = 4, 2 and 1."""
+    w = np.exp(1j * np.pi * c / 4)
+    return np.diag([1, 1, w, w])
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_every_proved_random_circuit_passes_brute_force(seed, monkeypatch):
-    # each against CZ and against the identity on its data qubits
+    # each against CZ, the identity, and Z, S and T on data qubit 1 (CS is never proved here)
     calls = stuck_hh_calls(monkeypatch)
     rng, valid, cz, identity, stuck = random.Random(seed), 0, 0, 0, 0
+    on_data_1 = dict.fromkeys((4, 2, 1), 0)
     for _ in range(15_000):
         circuit = random_circuit(rng)
         if not validate(circuit):
@@ -138,10 +147,30 @@ def test_every_proved_random_circuit_passes_brute_force(seed, monkeypatch):
             before = len(calls)
             cz += proved(circuit, cnz_term(1), oracle_cnz(1))
             identity += proved(circuit, {}, np.eye(4))
+            for c in on_data_1:
+                on_data_1[c] += proved(circuit, {2: c}, phase_on_data_1(c))
             stuck += len(calls) > before
     assert valid > 12_000
     assert cz >= 30 and identity >= 1_500  # about 0.4 % and 16 % of the valid draws
+    assert min(on_data_1.values()) >= 60, on_data_1  # each about 0.5 %: 62 to 78
     assert stuck >= 5  # valid draws on which the HH rule is stuck: 7 and 17
+
+
+@pytest.mark.parametrize("net, identity, cz", [
+    pytest.param(small_circuits, 749, 85, id="small"),
+    pytest.param(small_feedback_circuits, 274, 96, id="small-feedback"),
+])
+def test_every_proved_small_circuit_passes_brute_force(net, identity, cz):
+    # the small-scope nets of the wire-state tests, each circuit against I and CZ
+    circuits = net()
+    assert sum(proved(c, {}, np.eye(4)) for c in circuits) >= identity
+    assert sum(proved(c, cnz_term(1), oracle_cnz(1)) for c in circuits) >= cz
+
+
+def test_a_target_term_of_exponent_0_mod_8_is_no_term():
+    idle = Circuit(1, 0, (), frozenset({0}))
+    assert certify(idle, {1: 8}) == certify(idle, {1: 0}) == certify(idle, {}) is not None
+    assert certify(cccz_6t(), {15: 4, 1: 8}) == certify(cccz_6t(), {15: 4}) is not None
 
 
 @pytest.mark.parametrize("method", list(Method))

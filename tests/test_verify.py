@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cnzsynth import (
-    NON_CLIFFORD,
     Circuit,
     CircuitBuilder,
     CnZSpec,
@@ -28,6 +27,7 @@ from cnzsynth import (
     synth_cnz,
 )
 from cnzsynth import simulator
+from cnzsynth.circuit import NON_CLIFFORD
 from test_simulator import count_numpy_calls, fifteen_rounds, five_rounds
 
 
