@@ -16,14 +16,14 @@ from pathlib import Path
 from .circuit import Circuit, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import count
-from .synthesis import CnZSpec, Method, cccz_6t, synth_cnz
+from .synthesis import CnZSpec, Method, synth_cnz
 from .verify import check_implements, load
 
 
 def _load_circuit(source: str) -> Circuit:
     if source.startswith(("http://", "https://")) or "#circuit=" in source:
         return parse_quirk_url(source)
-    return parse_text(Path(source).read_text(encoding="utf-8"))
+    return parse_text(Path(source).read_text(encoding="utf-8-sig"))
 
 
 def _conjugate_target_with_h(circuit: Circuit) -> Circuit:
@@ -44,14 +44,11 @@ def _print_count(circuit: Circuit) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.gate == "cccz":
-        if args.n is not None:
-            raise CodecError("synth --gate cccz takes no -n")
-        circuit = cccz_6t()
-    else:
-        if args.n is None:
-            raise CodecError("synth --gate cnz requires -n")
-        circuit = synth_cnz(CnZSpec(args.n), Method(args.method))
+    if args.gate == "cccz" and args.n is not None:
+        raise CodecError("synth --gate cccz takes no -n")
+    if args.gate == "cnz" and args.n is None:
+        raise CodecError("synth --gate cnz requires -n")
+    circuit = synth_cnz(CnZSpec(3 if args.gate == "cccz" else args.n), Method(args.method))
     if args.x_target:
         circuit = _conjugate_target_with_h(circuit)
     Path(args.out).write_text(emit_text(circuit), encoding="utf-8")
@@ -79,11 +76,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{len(circuit.data_qubits)} data qubits")
     if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
         circuit = _conjugate_target_with_h(circuit)
-    pathsum = load("pathsum")
-    proof = pathsum.certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
+    proof = load("pathsum").certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
     verdict = proof or check_implements(circuit, load("simulator").oracle_cnz(n))
     m = proof and len(proof.branch_reports[0].outcomes)
-    if proof and 1 << m > pathsum.MAX_REPORTS:  # one summary of 2^m equiprobable outcome strings
+    if proof and len(proof.branch_reports) < 1 << m:  # one report for all 2^m equiprobable outcome strings
         r = proof.branch_reports[0]
         sys.stderr.write(f"outcomes=each of 2^{m} p=2^-{m} phase={r.phase.real:+.6f}{r.phase.imag:+.6f}j "
                          f"max_deviation={r.max_deviation:.3e}\n")
@@ -149,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a circuit and write it as text")
     p.add_argument("--gate", choices=("cccz", "cnz"), required=True)
     p.add_argument("-n", type=int, default=None, help="control count for cnz")
-    p.add_argument("--method", choices=("baseline", "optimized"), default="optimized")
+    p.add_argument("--method", choices=("baseline", "optimized"), default="optimized",
+                   help="ladder T count, cccz (n = 3) included: baseline 4n-4 (8), optimized 4n-6 (6)")
     p.add_argument("--out", required=True, help="output path for the circuit text")
     p.add_argument("--x-target", action="store_true",
                    help="H-conjugate the target qubit (C^nX instead of C^nZ)")

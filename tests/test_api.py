@@ -163,8 +163,8 @@ def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
 
 def test_a_first_load_after_a_reimport_raises_and_leaves_the_import_table(tmp_path):
     # each copy's first use of a lazy module comes after the package was imported again:
-    # the first copy's count (resources) and check_implements (simulator), and the second
-    # copy's CLI's first verify (pathsum). Each raises ImportError naming the module it
+    # the first copy's count (resources), check_implements (simulator) and parse_text (codec),
+    # and the second copy's CLI's first verify (pathsum). Each raises ImportError naming the module it
     # would have loaded, and neither the import table nor the old copy changes
     path = tmp_path / "cccz.qct"
     out = run_fresh(f"""
@@ -205,11 +205,13 @@ def test_a_first_load_after_a_reimport_raises_and_leaves_the_import_table(tmp_pa
 
         print(json.dumps([refused(first, lambda: first.count),
                           refused(first, lambda: first.check_implements(first.cccz_6t(), np.diag([1.0] * 15 + [-1.0]))),
-                          refused(second, verify)]))
+                          refused(second, verify),
+                          refused(first, lambda: first.parse_text("qubits 1\\n"))]))
         print(third.count(third.cccz_6t()).t, third.check_implements(third.cccz_6t(), third.oracle_cnz(3)).passed)
     """)
     assert out.splitlines() == [
-        json.dumps([[f"cnzsynth.{name}", True, True, True] for name in ("resources", "simulator", "pathsum")]),
+        json.dumps([[f"cnzsynth.{name}", True, True, True]
+                    for name in ("resources", "simulator", "pathsum", "codec")]),
         "6 True",
     ]
 

@@ -35,6 +35,10 @@ def test_synth_cccz_writes_canonical_text(tmp_path, capsys):
     summary = json.loads(stdout)
     assert summary["t"] == 6
     assert stdout.count("\n") == 1  # exactly one JSON object on stdout
+    # optimized is the default method
+    optimized = run(capsys, "synth", "--gate", "cccz", "--method", "optimized", "--out", str(out))
+    assert optimized == (0, stdout, "")
+    assert out.read_text() == emit_text(cccz_6t())
 
 
 def test_synth_cccz_file_has_six_t_lines(tmp_path, capsys):
@@ -60,8 +64,10 @@ def test_synth_rejects_optimized_n2(tmp_path, capsys):
 
 
 def test_synth_rejects_cnz_without_n(tmp_path, capsys):
-    code, _, _ = run(capsys, "synth", "--gate", "cnz", "--out", str(tmp_path / "c.qct"))
-    assert code == 2
+    out = tmp_path / "c.qct"
+    assert run(capsys, "synth", "--gate", "cnz", "--out", str(out)) == (
+        2, "", "error: synth --gate cnz requires -n\n")
+    assert not out.exists()
 
 
 def test_synth_rejects_cccz_with_n(tmp_path, capsys):
@@ -71,6 +77,31 @@ def test_synth_rejects_cccz_with_n(tmp_path, capsys):
     assert stdout == ""
     assert "synth --gate cccz takes no -n" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_synth_cccz_is_the_n3_ladder_of_its_method(tmp_path, capsys, method):
+    # --method applies to cccz: baseline is the 8-T C^3Z, two ANDs around a CZ
+    cccz, ladder = tmp_path / "cccz.qct", tmp_path / "cnz3.qct"
+    code, stdout, _ = run(capsys, "synth", "--gate", "cccz", "--method", method.value, "--out", str(cccz))
+    assert code == 0
+    assert cccz.read_text() == emit_text(synth_cnz(CnZSpec(3), method))
+    assert json.loads(stdout)["t"] == (8 if method is Method.BASELINE else 6)
+    assert run(capsys, "synth", "--gate", "cnz", "-n", "3", "--method", method.value,
+               "--out", str(ladder)) == (0, stdout, "")
+    assert ladder.read_bytes() == cccz.read_bytes()
+    code, stdout, stderr = run(capsys, "verify", "--in", str(cccz), "--against", "cccz")
+    assert (code, json.loads(stdout)["passed"], stderr.splitlines()[-1]) == (0, True, "route=path-sum")
+
+
+def test_a_text_file_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "c.qct", tmp_path / "bom.qct"
+    plain.write_text(emit_text(cccz_6t()), encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for argv in (["count"], ["verify", "--against", "cccz"]):
+        code, stdout, _ = run(capsys, *argv, "--in", str(plain))
+        assert code == 0
+        assert run(capsys, *argv, "--in", str(marked))[:2] == (code, stdout)
 
 
 def test_synth_x_target_wraps_with_hadamards(tmp_path, capsys):
