@@ -4,10 +4,13 @@ Synthesizes C^nZ circuits built from 4-T temporary ANDs, measurement-based
 uncomputation, and a 6-T feedback CCCZ core, and machine-checks them by
 exhaustive channel comparison against brute-force oracles.
 
-Importing the package loads circuit, synthesis and verify, and no numpy; a
-codec, count or branch-engine name imports its module on first use through
-``verify.load`` (the branch engine, simulator, with numpy).
+Importing the package loads circuit, synthesis and verify, and no numpy; its
+codec, resources, pathsum and simulator (with numpy) are package attributes,
+each imported on first use of it or of one of its public names.
 """
+import importlib
+import sys
+
 from .circuit import (
     Circuit,
     CircuitBuilder,
@@ -25,7 +28,6 @@ from .verify import (
     ChannelVerdict,
     check_implements,
     check_phase_identity,
-    load as _load,
 )
 
 __all__ = [
@@ -64,20 +66,27 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-#: Public names whose module is imported on first use (PEP 562).
+#: The modules imported on first use (PEP 562), each with its public names.
 _LAZY = {
-    **dict.fromkeys(("CodecError", "emit_text", "export_quirk_url", "parse_quirk_url",
-                     "parse_text"), "codec"),
-    **dict.fromkeys(("ResourceCount", "count"), "resources"),
-    **dict.fromkeys(("BranchRecord", "SimulationError", "oracle_cnz", "run_branches",
-                     "unitary_of"), "simulator"),
+    "codec": ("CodecError", "emit_text", "export_quirk_url", "parse_quirk_url", "parse_text"),
+    "resources": ("ResourceCount", "count"),
+    "pathsum": (),
+    "simulator": ("BranchRecord", "SimulationError", "oracle_cnz", "run_branches", "unitary_of"),
 }
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
-def __getattr__(name):
-    if name not in _LAZY:
+def __getattr__(name):  # a lazy module or public name; importing binds the module in globals()
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_load(_LAZY[name]), name)
+    if (loaded := globals().get(module)) is None:
+        qualified = f"{__name__}.{module}"
+        if getattr(sys.modules.get(__name__), "__dict__", None) is not globals():
+            raise ImportError(f"{qualified} was first used after {__name__} was imported again; "
+                              "load it before the re-import", name=qualified)
+        loaded = importlib.import_module(qualified)
+    return loaded if module == name else getattr(loaded, name)
 
 
 def __dir__():

@@ -17,7 +17,7 @@ from .circuit import Circuit, Gate, Op
 from .codec import CodecError, emit_text, export_quirk_url, parse_quirk_url, parse_text
 from .resources import count
 from .synthesis import CnZSpec, Method, synth_cnz
-from .verify import check_implements, load
+from .verify import _PACKAGE, check_implements
 
 
 def _load_circuit(source: str) -> Circuit:
@@ -76,8 +76,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{len(circuit.data_qubits)} data qubits")
     if x_target:  # C implements H·C^nZ·H on every branch iff H·C·H implements C^nZ
         circuit = _conjugate_target_with_h(circuit)
-    proof = load("pathsum").certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
-    verdict = proof or check_implements(circuit, load("simulator").oracle_cnz(n))
+    proof = _PACKAGE.pathsum.certify(circuit, {(2 << n) - 1: 4})  # C^nZ is ω^(4·x0·…·xn)
+    verdict = proof or check_implements(circuit, _PACKAGE.oracle_cnz(n))
     m = proof and len(proof.branch_reports[0].outcomes)
     if proof and len(proof.branch_reports) < 1 << m:  # one report for all 2^m equiprobable outcome strings
         r = proof.branch_reports[0]

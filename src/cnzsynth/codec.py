@@ -93,7 +93,10 @@ def emit_text(circuit: Circuit) -> str:
 def _parse_int(token: str, lineno: int, what: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise CodecError(f"line {lineno}: expected {what}, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise CodecError(f"line {lineno}: {what}: {exc}") from None
 
 
 def parse_text(doc: str) -> Circuit:
@@ -145,7 +148,7 @@ def parse_text(doc: str) -> Circuit:
             m = _CONDITION_RE.match(tokens[-1])
             if not m:
                 raise CodecError(f"line {lineno}: malformed condition {tokens[-1]!r}")
-            condition = (int(m.group(1)), int(m.group(2)))
+            condition = (_parse_int(m.group(1), lineno, "condition bit"), int(m.group(2)))
             tokens = tokens[:at]
 
         gate = _GATE_BY_MNEMONIC.get(head)
@@ -155,12 +158,16 @@ def parse_text(doc: str) -> Circuit:
         if gate is Gate.MEASURE:
             if len(tokens) != 4 or tokens[2] != "->" or not (m := _BIT_RE.match(tokens[3])):
                 raise CodecError(f"line {lineno}: usage: m <q> -> b<k>")
-            bit, tokens = int(m.group(1)), tokens[:2]
+            bit, tokens = _parse_int(m.group(1), lineno, "bit"), tokens[:2]
         # operand count and a condition on a measurement are validate's rules, reported by line below
         operands = tokens[1:]
         digits = "".join(operands)
-        qubits = (tuple(map(int, operands)) if digits.isascii() and digits.isdigit()
-                  else tuple(_parse_int(t, lineno, "qubit") for t in operands))
+        try:  # all digits in one pass; _parse_int names a bad token, or one past int()'s digit limit
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            qubits = tuple(map(int, operands))
+        except ValueError:
+            qubits = tuple(_parse_int(t, lineno, "qubit") for t in operands)
         known[raw] = Op(gate, qubits, bit, condition)
         ops.append(known[raw])
         op_lines.append(lineno)
@@ -226,7 +233,7 @@ def export_quirk_url(circuit: Circuit) -> str:
     return QUIRK_URL_PREFIX + urllib.parse.quote(payload, safe="")
 
 
-def _decode_fragment(url: str) -> str:
+def _load_fragment(url: str) -> object:
     at = url.find("#circuit=")
     if at < 0:
         raise CodecError("not a Quirk circuit URL (missing '#circuit=')")
@@ -236,7 +243,10 @@ def _decode_fragment(url: str) -> str:
         if nxt == decoded:
             break
         decoded = nxt
-    return decoded
+    try:
+        return json.loads(decoded)
+    except ValueError as exc:  # a JSONDecodeError, or a number past int()'s digit limit
+        raise CodecError(f"malformed circuit JSON: {exc}") from None
 
 
 def _identity_matrix_string(text: str) -> bool:
@@ -271,10 +281,7 @@ def parse_quirk_url(url: str) -> Circuit:
     CodecError for malformed JSON or gates outside the supported subset
     (reported verbatim).
     """
-    try:
-        payload = json.loads(_decode_fragment(url))
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"malformed circuit JSON: {exc}") from None
+    payload = _load_fragment(url)
     if not isinstance(payload, dict) or not isinstance(payload.get("cols", []), list):
         raise CodecError("malformed circuit JSON: expected an object with a 'cols' list")
     custom_gates = payload.get("gates", [])

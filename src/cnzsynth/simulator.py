@@ -16,8 +16,8 @@ MAX_KEY_BITS once, before the pass; a wider circuit raises SimulationError.
 ``histories`` is the only reader of this key layout:
 ``run_branches``, ``unitary_of`` and ``channel_verdict``, the brute-force
 verdict of ``verify.check_implements``, all read its table of
-(history, input, basis, amplitude) entries. ``verify.load`` imports this
-module, numpy with it, on first use.
+(history, input, basis, amplitude) entries. The package imports this
+module, numpy with it, on first use of it or of one of its public names.
 
 The pass knows each register wire as classical (a function of the label bits,
 so no key's partner on it is present) or free, and a split pairs keys only on
@@ -133,8 +133,7 @@ def _split(keys: np.ndarray, amps: np.ndarray, q: int, u: np.ndarray, classical,
     elif not classical:
         order = np.argsort(lo, kind="stable")
         first = run_starts(lo[order])
-        if not first.all():
-            lo, to = lo[order[first]], np.add.reduceat(to[:, order], np.flatnonzero(first), axis=1)
+        lo, to = lo[order[first]], np.add.reduceat(to[:, order], np.flatnonzero(first), axis=1)
     keys, amps = np.concatenate((lo, lo | mask)), to.ravel()
     if len(lo) == n:  # no partners
         return keys, amps, False

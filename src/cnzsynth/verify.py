@@ -7,17 +7,15 @@ per-outcome phase freedom is exactly what "deterministically implements"
 means here: the phase is unobservable per branch, but any input dependence
 would be an error and is caught by assembling every outcome's full linear
 map over all basis inputs. The brute-force check runs in the branch engine,
-``simulator``, imported with numpy on first use by ``load``, as every lazy module is;
+``simulator``, imported with numpy on first use by the package, as every lazy module is;
 a first use after the package was imported again raises ``ImportError``.
 """
 from __future__ import annotations
 
-import importlib
 import math
 import sys
 from dataclasses import dataclass
 from itertools import product
-from types import ModuleType
 from typing import TYPE_CHECKING
 
 from .circuit import Circuit
@@ -66,22 +64,8 @@ def check_phase_identity() -> bool:
     return True
 
 
-#: This copy of the package; its ``__dict__`` keeps every submodule ``load`` imports.
+#: This copy of the package, whose attributes import its lazy modules on first use.
 _PACKAGE = sys.modules[__package__]
-
-
-def load(name: str) -> ModuleType:
-    """This copy's submodule ``name`` (codec, resources, pathsum or simulator), imported
-    on first use. Importing binds it on this copy's package, which keeps it from then on.
-    A first use after the package was imported again raises ``ImportError``: load what a
-    copy needs before importing the package again."""
-    if name in vars(_PACKAGE):
-        return vars(_PACKAGE)[name]
-    module = f"{__package__}.{name}"
-    if sys.modules.get(__package__) is not _PACKAGE:
-        raise ImportError(f"{module} was first used after {__package__} was imported again; "
-                          "load it before the re-import", name=module)
-    return importlib.import_module(module)
 
 
 def check_implements(
@@ -105,5 +89,5 @@ def check_implements(
     if not (math.isfinite(tolerance) and 0 < tolerance < MAX_TOLERANCE):
         raise ValueError(
             f"tolerance must be finite and in (0, {MAX_TOLERANCE:g}), got {tolerance!r}")
-    return load("simulator").channel_verdict(circuit, target, tolerance)
+    return _PACKAGE.simulator.channel_verdict(circuit, target, tolerance)
 

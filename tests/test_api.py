@@ -63,6 +63,8 @@ def test_import_loads_the_verification_core_and_the_rest_on_first_use():
             return sorted(name for name in sys.modules if name.startswith("cnzsynth"))
 
         print(loaded(), "numpy" in sys.modules)
+        cnzsynth.pathsum
+        print(loaded(), "numpy" in sys.modules)
         cnzsynth.parse_text
         print(loaded())
         cnzsynth.count
@@ -75,10 +77,12 @@ def test_import_loads_the_verification_core_and_the_rest_on_first_use():
             print(exc)
     """)
     core = ["cnzsynth", "cnzsynth.circuit", "cnzsynth.synthesis", "cnzsynth.verify"]
-    with_codec = sorted(core + ["cnzsynth.codec"])
+    with_proof = sorted(core + ["cnzsynth.pathsum"])
+    with_codec = sorted(with_proof + ["cnzsynth.codec"])
     with_count = sorted(with_codec + ["cnzsynth.resources"])
     assert out.splitlines() == [
         f"{core!r} False",
+        f"{with_proof!r} False",
         repr(with_codec),
         repr(with_count),
         f"{sorted(with_count + ['cnzsynth.simulator'])!r} True",
@@ -163,9 +167,9 @@ def test_a_reimport_leaves_the_first_package_on_its_own_classes(tmp_path):
 
 def test_a_first_load_after_a_reimport_raises_and_leaves_the_import_table(tmp_path):
     # each copy's first use of a lazy module comes after the package was imported again:
-    # the first copy's count (resources), check_implements (simulator) and parse_text (codec),
-    # and the second copy's CLI's first verify (pathsum). Each raises ImportError naming the module it
-    # would have loaded, and neither the import table nor the old copy changes
+    # the first copy's count (resources), check_implements (simulator), parse_text (codec) and
+    # pathsum attribute, and the second copy's CLI's first verify (pathsum). Each raises ImportError
+    # naming the module it would have loaded, and neither the import table nor the old copy changes
     path = tmp_path / "cccz.qct"
     out = run_fresh(f"""
         import contextlib
@@ -206,12 +210,13 @@ def test_a_first_load_after_a_reimport_raises_and_leaves_the_import_table(tmp_pa
         print(json.dumps([refused(first, lambda: first.count),
                           refused(first, lambda: first.check_implements(first.cccz_6t(), np.diag([1.0] * 15 + [-1.0]))),
                           refused(second, verify),
-                          refused(first, lambda: first.parse_text("qubits 1\\n"))]))
+                          refused(first, lambda: first.parse_text("qubits 1\\n")),
+                          refused(first, lambda: first.pathsum)]))
         print(third.count(third.cccz_6t()).t, third.check_implements(third.cccz_6t(), third.oracle_cnz(3)).passed)
     """)
     assert out.splitlines() == [
         json.dumps([[f"cnzsynth.{name}", True, True, True]
-                    for name in ("resources", "simulator", "pathsum", "codec")]),
+                    for name in ("resources", "simulator", "pathsum", "codec", "pathsum")]),
         "6 True",
     ]
 

@@ -158,6 +158,25 @@ def test_parse_text_accepts_ascii_digits_only(doc):
         parse_text(doc)
 
 
+#: A number with more digits than int() converts at its default limit (4,300 digits).
+BIG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (parse_text, f"qubits {BIG}\n", "line 1: qubit count"),
+    (parse_text, f"qubits 2\ndata {BIG}\n", "line 2: data qubit"),
+    (parse_text, f"qubits 2\nh {BIG}\n", "line 2: qubit"),
+    (parse_text, f"qubits 2\nbits 1\nm 0 -> b{BIG}\n", "line 3: bit"),
+    (parse_text, f"qubits 2\nbits 1\nm 0 -> b0\nx 1 if b{BIG}==1\n", "line 4: condition bit"),
+    (parse_quirk_url, QUIRK_URL_PREFIX + urllib.parse.quote(f'{{"cols":[[{BIG}]]}}', safe=""),
+     "malformed circuit JSON"),
+], ids=["qubit-count", "data-qubit", "operand", "measure-bit", "condition-bit", "quirk-entry"])
+def test_an_over_long_number_is_a_codec_error_at_its_place(parse, doc, message):
+    # int() refuses it with a plain ValueError; the codecs report it as malformed input, by line
+    with pytest.raises(CodecError, match=message):
+        parse(doc)
+
+
 def test_parse_text_rejects_header_after_ops():
     with pytest.raises(CodecError, match="after ops"):
         parse_text("qubits 1\nh 0\nbits 0\n")
