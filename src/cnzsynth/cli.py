@@ -7,6 +7,7 @@ byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -61,8 +62,9 @@ def _parse_target(label: str) -> tuple[int, bool]:
     kind, _, tail = label.partition(":")
     if label in ("cccz", "cccx"):
         return 3, label == "cccx"
-    if kind in ("cnz", "cnx") and tail.isascii() and tail.isdigit() and int(tail) >= 1:
-        return int(tail), kind == "cnx"
+    with contextlib.suppress(ValueError):  # more digits than int() converts: an unknown target
+        if kind in ("cnz", "cnx") and tail.isascii() and tail.isdigit() and int(tail) >= 1:
+            return int(tail), kind == "cnx"
     raise CodecError(
         f"unknown verification target {label!r} (expected cccz, cccx, cnz:N or cnx:N)")
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import urllib.parse
 
 import pytest
@@ -25,6 +26,7 @@ from cnzsynth import (
     parse_text,
     synth_cnz,
 )
+from cnzsynth import codec
 from cnzsynth.codec import QUIRK_URL_PREFIX
 from quirk_fixtures import REFERENCE_QUIRK_CCCZ_URL
 
@@ -305,11 +307,44 @@ def test_parse_quirk_requires_circuit_fragment():
         parse_quirk_url("https://algassert.com/quirk")
 
 
-def test_parse_quirk_handles_double_encoding():
-    once = urllib.parse.quote('{"cols":[["H"]]}', safe="")
-    twice = urllib.parse.quote(once, safe="")
-    circuit = parse_quirk_url(QUIRK_URL_PREFIX + twice)
-    assert circuit.ops == (Op(Gate.H, (0,)),)
+def _quote(payload: str) -> str:
+    return urllib.parse.quote(payload, safe="")
+
+
+def test_parse_quirk_refuses_a_twice_encoded_link():
+    # a fragment is JSON as written or percent-encoded once; a second layer is not guessed away
+    with pytest.raises(CodecError, match="malformed circuit JSON"):
+        parse_quirk_url(QUIRK_URL_PREFIX + _quote(_quote('{"cols":[["H"]]}')))
+
+
+@pytest.mark.parametrize("gate_id", ["%48", "%5A%5E%C2%BC"])  # H and Z^¼, percent-encoded
+@pytest.mark.parametrize("encode", [str, _quote], ids=["raw", "encoded-once"])
+def test_a_percent_escape_in_a_gate_id_stays_literal(gate_id, encode):
+    url = QUIRK_URL_PREFIX + encode(json.dumps({"cols": [[gate_id]]}))
+    with pytest.raises(CodecError, match=re.escape(f"unsupported gate id {gate_id!r}")):
+        parse_quirk_url(url)
+
+
+def test_the_published_link_with_a_t_spelled_as_escapes_is_refused():
+    # one Z^¼ spelled %5A%5E%C2%BC inside its JSON string is an unknown gate, not a T
+    quoted_t = _quote('"Z^¼"')
+    assert quoted_t in REFERENCE_QUIRK_CCCZ_URL
+    url = REFERENCE_QUIRK_CCCZ_URL.replace(quoted_t, _quote('"%5A%5E%C2%BC"'), 1)
+    with pytest.raises(CodecError, match=re.escape("unsupported gate id '%5A%5E%C2%BC'")):
+        parse_quirk_url(url)
+
+
+_PERCENT_TEXT = st.tuples(st.text(max_size=4), st.from_regex(r"%[0-9A-Fa-f]{2}", fullmatch=True),
+                          st.text(max_size=4)).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=st.recursive(_PERCENT_TEXT, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(_PERCENT_TEXT, inner, max_size=3), max_leaves=8))
+def test_percent_text_in_a_fragment_reads_back_verbatim(payload):
+    doc = json.dumps(payload, ensure_ascii=False)
+    for fragment in (doc, _quote(doc)):
+        assert codec._load_fragment(QUIRK_URL_PREFIX + fragment) == payload
 
 
 IDENTITY_MARKER = '{"id":"~mark","name":"mark","matrix":"{{1,0},{0,1}}"}'
