@@ -15,7 +15,7 @@ MAX_QUBITS (2^16), stops at its line; ``validate``'s violations come in one
 message, each by source line. Emission is byte-deterministic and
 ``parse_text(emit_text(c))`` is op-identical for every valid circuit.
 
-Quirk URLs (https://algassert.com/quirk#circuit=<JSON, raw or percent-encoded once>)
+Quirk URLs (https://algassert.com/quirk#circuit=<JSON, percent-decoded once>)
 cover the same alphabet via the name map H, X, Z, Z^½, Z^-½, Z^¼, Z^-¼,
 X^½, X^-½, •, ◦, Measure. Conventions needed to make the mapping exact:
 
@@ -237,11 +237,8 @@ def _load_fragment(url: str) -> object:
     _, found, fragment = url.partition("#circuit=")
     if not found:
         raise CodecError("not a Quirk circuit URL (missing '#circuit=')")
-    try:  # JSON as written, else percent-encoded once; a literal %XX in a JSON string stays literal
-        try:
-            return json.loads(fragment)
-        except json.JSONDecodeError:
-            return json.loads(urllib.parse.unquote(fragment))
+    try:  # percent-decoded once, as in any URL; a second layer of escapes stays literal
+        return json.loads(urllib.parse.unquote(fragment))
     except ValueError as exc:  # a JSONDecodeError, or a number past int()'s digit limit
         raise CodecError(f"malformed circuit JSON: {exc}") from None
 

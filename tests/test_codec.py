@@ -312,17 +312,25 @@ def _quote(payload: str) -> str:
 
 
 def test_parse_quirk_refuses_a_twice_encoded_link():
-    # a fragment is JSON as written or percent-encoded once; a second layer is not guessed away
+    # a fragment is percent-decoded once; a second layer of escapes is not guessed away
     with pytest.raises(CodecError, match="malformed circuit JSON"):
         parse_quirk_url(QUIRK_URL_PREFIX + _quote(_quote('{"cols":[["H"]]}')))
 
 
 @pytest.mark.parametrize("gate_id", ["%48", "%5A%5E%C2%BC"])  # H and Z^¼, percent-encoded
-@pytest.mark.parametrize("encode", [str, _quote], ids=["raw", "encoded-once"])
-def test_a_percent_escape_in_a_gate_id_stays_literal(gate_id, encode):
-    url = QUIRK_URL_PREFIX + encode(json.dumps({"cols": [[gate_id]]}))
+def test_a_percent_escape_in_a_gate_id_stays_literal(gate_id):
+    url = QUIRK_URL_PREFIX + _quote(json.dumps({"cols": [[gate_id]]}))
     with pytest.raises(CodecError, match=re.escape(f"unsupported gate id {gate_id!r}")):
         parse_quirk_url(url)
+
+
+@pytest.mark.parametrize("fragment, ops", [
+    ('{"cols":[["H"]]}', (Op(Gate.H, (0,)),)),
+    ('{"cols":[["%48"]]}', (Op(Gate.H, (0,)),)),  # in a URL, %48 is an escaped H
+    ('{"cols":[["%E2%80%A2","Z"]]}', (Op(Gate.CZ, (0, 1)),)),  # raw quotes, escaped non-ASCII
+], ids=["raw", "raw-escaped-ascii", "partly-encoded"])
+def test_a_fragment_not_fully_encoded_is_decoded_once(fragment, ops):
+    assert parse_quirk_url(QUIRK_URL_PREFIX + fragment).ops == ops
 
 
 def test_the_published_link_with_a_t_spelled_as_escapes_is_refused():
@@ -343,8 +351,7 @@ _PERCENT_TEXT = st.tuples(st.text(max_size=4), st.from_regex(r"%[0-9A-Fa-f]{2}",
                             | st.dictionaries(_PERCENT_TEXT, inner, max_size=3), max_leaves=8))
 def test_percent_text_in_a_fragment_reads_back_verbatim(payload):
     doc = json.dumps(payload, ensure_ascii=False)
-    for fragment in (doc, _quote(doc)):
-        assert codec._load_fragment(QUIRK_URL_PREFIX + fragment) == payload
+    assert codec._load_fragment(QUIRK_URL_PREFIX + _quote(doc)) == payload
 
 
 IDENTITY_MARKER = '{"id":"~mark","name":"mark","matrix":"{{1,0},{0,1}}"}'
